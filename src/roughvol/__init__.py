@@ -29,8 +29,9 @@ from .ingest import (
     IngestReport,
     MarketCalendar,
     compute_m,
+    read_grid_csv,
     read_rv_csv,
-    write_rv_csv,
+    write_csv,
 )
 from .proxy import (
     AlignmentError,
@@ -43,7 +44,6 @@ from .proxy import (
 )
 from .scaling import ScalingFit, fit_scaling, structure_function
 from .spectral import (
-    ModelSpectrum,
     SpectralConfig,
     autocovariance_hat,
     c_h,

@@ -3,23 +3,22 @@
 Subcommands: simulate, rv, estimate, scaling, spectrum, mc, illusion,
 zscore, ingest-check. Exit codes: 0 success, 1 validation error (bad
 flags, missing inputs, invariant violations), 2 runtime failure. Output
-files are written atomically (temp file, then rename). Experiment
-subcommands refuse to run without an explicit --seed.
+files are written atomically (temp file, then rename) by
+``ingest.atomic_write``. Experiment subcommands refuse to run without an
+explicit --seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
-from .fracsim import CSV_FLOAT_FORMAT, FouSpec, GridPath, simulate_fou_price
+from .fracsim import FouSpec, simulate_fou_price
 from .harness import (
     McConfig,
     print_mc_summary,
@@ -27,10 +26,20 @@ from .harness import (
     run_mc_table,
     run_zscore_experiment,
 )
-from .ingest import DEFAULT_DELTA, IngestError, read_rv_csv, write_rv_csv
+from .ingest import (
+    DEFAULT_DELTA,
+    IngestError,
+    atomic_write,
+    csv_lines,
+    format_cell,
+    read_float_table,
+    read_grid_csv,
+    read_rv_csv,
+    write_csv,
+)
 from .proxy import log_rv_increments, realized_variance
 from .scaling import DEFAULT_LAGS, DEFAULT_QS, fit_scaling, structure_function
-from .spectral import SpectralConfig, ell, f_h, g_spectrum, ModelSpectrum
+from .spectral import SpectralConfig, ell, f_h_dense, g_spectrum
 from .whittle import ParamBox, estimate
 
 SUMMARY_DIGITS = 6
@@ -45,30 +54,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _fmt(value: float) -> str:
-    return CSV_FLOAT_FORMAT % value
-
-
 def _require_file(path: str) -> str:
     if not os.path.exists(path):
         raise CliError(f"input file does not exist: {path}")
@@ -80,6 +65,29 @@ def _parse_floats(text: str) -> list[float]:
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise CliError(f"cannot parse comma-separated numbers from {text!r}") from None
+
+
+def _float_tuple(text: str) -> tuple:
+    return tuple(_parse_floats(text))
+
+
+def _int_tuple(text: str) -> tuple:
+    return tuple(int(x) for x in _parse_floats(text))
+
+
+# Monte Carlo settings: --config key, parser of its text, and the mc flag
+# that overrides it (None: config file only) with that flag's help.
+_MC_SETTINGS = (
+    ("h0_list", _float_tuple, "h0", "comma list overriding h0_list"),
+    ("eta0_list", _float_tuple, "eta0", "comma list overriding eta0_list"),
+    ("m_list", _int_tuple, "m", "comma list overriding m_list"),
+    ("n_paths", int, "paths", "paths per cell (default 30)"),
+    ("n_days", int, "days", "days per path (default 2500)"),
+    ("delta", float, "delta", "day length (default 1/250)"),
+    ("alpha", float, "alpha", "mean reversion (default 0.001)"),
+    ("c", float, "c", "long-run mean (default -3.2)"),
+    ("substeps", int, None, None),
+)
 
 
 def _parse_lags(text: str) -> list[int]:
@@ -195,7 +203,8 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="day length in years (default 1/250)")
     p.add_argument("--qs", default=",".join(str(q) for q in DEFAULT_QS),
                    help="comma-separated moments (default 0.5,1,1.5,2,3)")
-    p.add_argument("--lags", default="1:50", help="lag range lo:hi or comma list (default 1:50)")
+    lags = f"{DEFAULT_LAGS[0]}:{DEFAULT_LAGS[-1]}"
+    p.add_argument("--lags", default=lags, help=f"lag range lo:hi or comma list (default {lags})")
     p.add_argument("--out", required=True, help="long-form (q,lag,log_lag,log_m) CSV output")
     p.add_argument("--summary-out", default=None, help="optional summary CSV path")
 
@@ -212,17 +221,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mc",
                        help="Monte Carlo table of estimator mean/variance per cell")
-    p.add_argument("--config", default=None,
-                   help="key=value file with grids (h0_list, eta0_list, m_list, "
-                        "n_paths, n_days, delta, alpha, c)")
-    p.add_argument("--h0", default=None, help="comma list overriding h0_list")
-    p.add_argument("--eta0", default=None, help="comma list overriding eta0_list")
-    p.add_argument("--m", default=None, help="comma list overriding m_list")
-    p.add_argument("--paths", type=int, default=None, help="paths per cell (default 30)")
-    p.add_argument("--days", type=int, default=None, help="days per path (default 2500)")
-    p.add_argument("--delta", type=float, default=None, help="day length (default 1/250)")
-    p.add_argument("--alpha", type=float, default=None, help="mean reversion (default 0.001)")
-    p.add_argument("--c", type=float, default=None, help="long-run mean (default -3.2)")
+    keys = ", ".join(key for key, _, _, _ in _MC_SETTINGS)
+    p.add_argument("--config", default=None, help=f"key=value file with grids ({keys})")
+    for _, parse, flag, text in _MC_SETTINGS:
+        if flag is not None:
+            p.add_argument(f"--{flag}", type=parse, default=None, help=text)
     p.add_argument("--seed", type=int, required=True, help="base seed (required)")
     p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
     p.add_argument("--out", required=True, help="per-cell CSV output path")
@@ -268,44 +271,31 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     log_var, log_price = simulate_fou_price(spec)
-    _write_grid_csv(args.out, log_price)
-    if args.out_logvar:
-        _write_grid_csv(args.out_logvar, log_var)
+    for path, grid in ((args.out, log_price), (args.out_logvar, log_var)):
+        if path:
+            write_csv(path, ["t", "value"], zip(grid.times(), grid.values))
     return 0
-
-
-def _write_grid_csv(path: str, grid: GridPath) -> None:
-    rows = ((_fmt(t), _fmt(v)) for t, v in zip(grid.times(), grid.values))
-    _atomic_write(path, _csv_text(["t", "value"], rows))
 
 
 def _cmd_rv(args) -> int:
     _require_file(args.price)
     try:
-        grid = GridPath.from_csv(args.price, kind="log_price")
+        grid = read_grid_csv(args.price, kind="log_price")
         rv = realized_variance(grid, args.m, args.delta)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    rows = ((str(i + 1), _fmt(v)) for i, v in enumerate(rv.values))
-    _atomic_write(args.out, _csv_text(["date", "rv"], rows))
+    write_csv(args.out, ["date", "rv"], enumerate(rv.values, start=1))
     return 0
 
 
 def _read_starts(path: str) -> list[tuple[float, float]]:
-    starts = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["h", "nu"]:
-            raise CliError(f"{path}: starts file needs header 'h,nu'")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                starts.append((float(row[0]), float(row[1])))
-            except (IndexError, ValueError):
-                raise CliError(f"{path}: bad start at line {lineno}") from None
-    if not starts:
+    try:
+        table = read_float_table(path, ("h", "nu"))
+    except IngestError as exc:
+        raise CliError(str(exc)) from None
+    if not len(table):
         raise CliError(f"{path}: no starts found")
-    return starts
+    return [(float(h), float(nu)) for h, nu in table]
 
 
 def _cmd_estimate(args) -> int:
@@ -323,28 +313,26 @@ def _cmd_estimate(args) -> int:
     starts = _read_starts(args.starts) if args.starts else None
     fit = estimate(y, box=box, starts=starts, config=config)
     header = ["h_hat", "nu_hat", "eta_hat", "objective", "converged"]
-    row = [_fmt(fit.h_hat), _fmt(fit.nu_hat), _fmt(fit.eta_hat),
-           _fmt(fit.objective), "true" if fit.converged else "false"]
-    text = _csv_text(header, [row])
+    row = [fit.h_hat, fit.nu_hat, fit.eta_hat, fit.objective, fit.converged]
     if args.out:
-        _atomic_write(args.out, text)
+        write_csv(args.out, header, [row])
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(csv_lines(header, [row]))
     if args.diagnostics:
         diag = [
-            f"n={len(y)}",
-            f"delta={_fmt(fit.delta)}",
-            f"m={fit.m}",
-            f"n_starts={fit.n_starts}",
-            f"start_used_h={_fmt(fit.start_used[0])}",
-            f"start_used_nu={_fmt(fit.start_used[1])}",
-            f"converged={str(fit.converged).lower()}",
-            f"objective={_fmt(fit.objective)}",
-            f"psi={_fmt(config.psi)}",
-            f"paxson_k={config.paxson_k}",
-            f"taylor_j={config.taylor_j}",
+            ("n", len(y)),
+            ("delta", fit.delta),
+            ("m", fit.m),
+            ("n_starts", fit.n_starts),
+            ("start_used_h", fit.start_used[0]),
+            ("start_used_nu", fit.start_used[1]),
+            ("converged", fit.converged),
+            ("objective", fit.objective),
+            ("psi", config.psi),
+            ("paxson_k", config.paxson_k),
+            ("taylor_j", config.taylor_j),
         ]
-        _atomic_write(args.diagnostics, "\n".join(diag) + "\n")
+        atomic_write(args.diagnostics, (f"{key}={format_cell(value)}\n" for key, value in diag))
     return 0
 
 
@@ -365,13 +353,12 @@ def _cmd_scaling(args) -> int:
     for q in fit.qs:
         for lag in fit.lags:
             sf = structure_function(log_vol, float(q), int(lag))
-            rows.append((_fmt(q), str(int(lag)), _fmt(math.log(lag)), _fmt(math.log(sf))))
-    _atomic_write(args.out, _csv_text(["q", "lag", "log_lag", "log_m"], rows))
+            rows.append((q, int(lag), math.log(lag), math.log(sf)))
+    write_csv(args.out, ["q", "lag", "log_lag", "log_m"], rows)
 
-    summary_header = ["h_estimate", "h_with_intercept", "r2_stage2"]
-    summary_row = [_fmt(fit.h_estimate), _fmt(fit.h_with_intercept), _fmt(fit.r2_stage2)]
     if args.summary_out:
-        _atomic_write(args.summary_out, _csv_text(summary_header, [summary_row]))
+        write_csv(args.summary_out, ["h_estimate", "h_with_intercept", "r2_stage2"],
+                  [(fit.h_estimate, fit.h_with_intercept, fit.r2_stage2)])
     print(
         f"h_estimate={fit.h_estimate:.{SUMMARY_DIGITS}g} "
         f"h_with_intercept={fit.h_with_intercept:.{SUMMARY_DIGITS}g} "
@@ -385,22 +372,13 @@ def _cmd_spectrum(args) -> int:
         raise CliError("--points must be >= 2")
     if not 0.0 < args.lambda_min < math.pi:
         raise CliError("--lambda-min must be in (0, pi)")
+    grid = np.exp(np.linspace(math.log(args.lambda_min), math.log(math.pi), args.points))
     try:
-        spectrum = ModelSpectrum(
-            hurst=args.h, nu=args.nu, m=args.m,
-            config=SpectralConfig(paxson_k=args.paxson_k),
-        )
+        f_vals = f_h_dense(grid, args.h, args.paxson_k)
+        g_vals = g_spectrum(grid, args.h, args.nu, args.m, args.paxson_k)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    grid = np.exp(np.linspace(math.log(args.lambda_min), math.log(math.pi), args.points))
-    f_vals = f_h(grid, args.h, args.paxson_k)
-    ell_vals = ell(grid)
-    g_vals = g_spectrum(spectrum, grid)
-    rows = (
-        (_fmt(lam), _fmt(fv), _fmt(ev), _fmt(gv))
-        for lam, fv, ev, gv in zip(grid, f_vals, ell_vals, g_vals)
-    )
-    _atomic_write(args.out, _csv_text(["lambda", "f_h", "ell", "g"], rows))
+    write_csv(args.out, ["lambda", "f_h", "ell", "g"], zip(grid, f_vals, ell(grid), g_vals))
     return 0
 
 
@@ -419,44 +397,22 @@ def _parse_kv_file(path: str) -> dict:
 
 
 def _mc_config_from_args(args) -> McConfig:
+    """Defaults, overridden by --config keys, overridden by flags (which
+    argparse has already parsed with the same parsers)."""
     fields = {}
     if args.config:
         _require_file(args.config)
-        kv = _parse_kv_file(args.config)
-        parsers = {
-            "h0_list": lambda s: tuple(_parse_floats(s)),
-            "eta0_list": lambda s: tuple(_parse_floats(s)),
-            "m_list": lambda s: tuple(int(x) for x in _parse_floats(s)),
-            "n_paths": int,
-            "n_days": int,
-            "delta": float,
-            "alpha": float,
-            "c": float,
-            "substeps": int,
-        }
-        for key, val in kv.items():
+        parsers = {key: parse for key, parse, _, _ in _MC_SETTINGS}
+        for key, val in _parse_kv_file(args.config).items():
             if key not in parsers:
                 raise CliError(f"{args.config}: unknown key {key!r}")
             try:
                 fields[key] = parsers[key](val)
             except ValueError:
                 raise CliError(f"{args.config}: cannot parse {key} = {val!r}") from None
-    if args.h0 is not None:
-        fields["h0_list"] = tuple(_parse_floats(args.h0))
-    if args.eta0 is not None:
-        fields["eta0_list"] = tuple(_parse_floats(args.eta0))
-    if args.m is not None:
-        fields["m_list"] = tuple(int(x) for x in _parse_floats(args.m))
-    if args.paths is not None:
-        fields["n_paths"] = args.paths
-    if args.days is not None:
-        fields["n_days"] = args.days
-    if args.delta is not None:
-        fields["delta"] = args.delta
-    if args.alpha is not None:
-        fields["alpha"] = args.alpha
-    if args.c is not None:
-        fields["c"] = args.c
+    for key, _, flag, _ in _MC_SETTINGS:
+        if flag is not None and getattr(args, flag) is not None:
+            fields[key] = getattr(args, flag)
     fields["base_seed"] = args.seed
     try:
         return McConfig(**fields)
@@ -471,21 +427,19 @@ def _cmd_mc(args) -> int:
     report = run_mc_table(config, workers=args.workers, log=sys.stderr)
     header = ["h0", "eta0", "m", "n_paths", "n_converged", "n_failed",
               "h_mean", "h_var", "eta_mean", "eta_var", "cell_failed"]
-    rows = [
-        (_fmt(c.h0), _fmt(c.eta0), str(c.m), str(c.n_paths), str(c.n_converged),
-         str(c.n_failed), _fmt(c.h_mean), _fmt(c.h_var), _fmt(c.eta_mean),
-         _fmt(c.eta_var), "true" if c.failed else "false")
+    rows = (
+        (c.h0, c.eta0, c.m, c.n_paths, c.n_converged, c.n_failed,
+         c.h_mean, c.h_var, c.eta_mean, c.eta_var, c.failed)
         for c in report.cells
-    ]
-    _atomic_write(args.out, _csv_text(header, rows))
+    )
+    write_csv(args.out, header, rows)
     if args.summary_out:
         buf = io.StringIO()
         print_mc_summary(report, file=buf)
-        _atomic_write(args.summary_out, buf.getvalue())
+        atomic_write(args.summary_out, [buf.getvalue()])
     else:
         print_mc_summary(report)
-    if report.cells:
-        print(f"total wall time {report.cells[0].wall_time:.1f}s", file=sys.stderr)
+    print(f"total wall time {report.wall_time:.1f}s", file=sys.stderr)
     return 0
 
 
@@ -497,11 +451,8 @@ def _cmd_illusion(args) -> int:
         seed=args.seed, frequencies=frequencies, n_days=args.days,
         workers=args.workers,
     )
-    out_rows = (
-        (str(r.m), _fmt(r.scaling_h), _fmt(r.whittle_h), _fmt(r.whittle_eta))
-        for r in rows
-    )
-    _atomic_write(args.out, _csv_text(["m", "scaling_h", "whittle_h", "whittle_eta"], out_rows))
+    write_csv(args.out, ["m", "scaling_h", "whittle_h", "whittle_eta"],
+              ((r.m, r.scaling_h, r.whittle_h, r.whittle_eta) for r in rows))
     for r in rows:
         print(
             f"m={r.m}: scaling_h={r.scaling_h:.{SUMMARY_DIGITS}g} "
@@ -513,10 +464,10 @@ def _cmd_illusion(args) -> int:
 def _cmd_zscore(args) -> int:
     result = run_zscore_experiment(m=args.m, n_days=args.days, seed=args.seed)
     header = ["m", "n_days", "sample_variance", "lag1_autocorr", "skewness"]
-    row = [str(result.m), str(result.n_days), _fmt(result.sample_variance),
-           _fmt(result.lag1_autocorr), _fmt(result.skewness)]
+    row = [result.m, result.n_days, result.sample_variance,
+           result.lag1_autocorr, result.skewness]
     if args.out:
-        _atomic_write(args.out, _csv_text(header, [row]))
+        write_csv(args.out, header, [row])
     print(
         f"sample_variance={result.sample_variance:.{SUMMARY_DIGITS}g} "
         f"lag1_autocorr={result.lag1_autocorr:.{SUMMARY_DIGITS}g} "
@@ -536,12 +487,7 @@ def _cmd_ingest_check(args) -> int:
     except IngestError as exc:
         raise CliError(str(exc)) from None
     if args.out:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["date", "rv"])
-        for date, value in zip(report.kept_dates, rv.values):
-            writer.writerow([date, _fmt(value)])
-        _atomic_write(args.out, buf.getvalue())
+        write_csv(args.out, ["date", "rv"], zip(report.kept_dates, rv.values))
     reasons = ", ".join(f"{k}={v}" for k, v in sorted(report.reasons.items())) or "none"
     print(
         f"rows_read={report.rows_read} kept={report.rows_kept} "

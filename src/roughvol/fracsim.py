@@ -11,7 +11,6 @@ returns driven by an independent Brownian stream.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,8 +30,6 @@ _EIG_TOLERANCE = -1e-10
 _CHOLESKY_LIMIT = 8192
 
 PATH_KINDS = ("log_price", "log_variance", "fgn")
-
-CSV_FLOAT_FORMAT = "%.17g"  # round-trips float64 exactly
 
 
 class SynthesisError(RuntimeError):
@@ -74,38 +71,6 @@ class GridPath:
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self.values))
-
-    def to_csv(self, path) -> None:
-        """Write ``t,value`` rows at full float precision."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "value"])
-            for t, v in zip(self.times(), self.values):
-                writer.writerow([CSV_FLOAT_FORMAT % t, CSV_FLOAT_FORMAT % v])
-
-    @classmethod
-    def from_csv(cls, path, kind: str = "log_price") -> "GridPath":
-        """Read a ``t,value`` file and infer the (uniform) step size."""
-        ts, vs = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header[:2]] != ["t", "value"]:
-                raise ValueError(f"{path}: expected header 't,value'")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    ts.append(float(row[0]))
-                    vs.append(float(row[1]))
-                except (IndexError, ValueError) as exc:
-                    raise ValueError(f"{path}: bad row at line {lineno}") from exc
-        if len(vs) < 2:
-            raise ValueError(f"{path}: need at least two grid points")
-        ts = np.asarray(ts)
-        steps = np.diff(ts)
-        dt = steps[0]
-        if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
-            raise ValueError(f"{path}: grid is not uniformly spaced")
-        return cls(np.asarray(vs), dt=float(dt), t0=float(ts[0]), kind=kind)
 
 
 @dataclass(frozen=True)

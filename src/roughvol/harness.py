@@ -52,7 +52,6 @@ class McConfig:
     alpha: float = DEFAULT_ALPHA
     c: float = DEFAULT_C
     base_seed: int = 0
-    s0: float = 100.0
     substeps: int = 1
     box: ParamBox = field(default_factory=ParamBox)
     spectral: SpectralConfig = field(default_factory=SpectralConfig)
@@ -91,13 +90,13 @@ class CellStats:
     eta_mean: float
     eta_var: float
     failed: bool  # more than 20% of paths unusable
-    wall_time: float
 
 
 @dataclass(frozen=True)
 class McReport:
     cells: tuple
     base_seed: int
+    wall_time: float  # whole run, seconds; not in file outputs
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,6 @@ def _fit_one_path(config: McConfig, h0: float, eta0: float, m: int, path_index: 
         m=m,
         n_days=config.n_days,
         seed=seed,
-        s0=config.s0,
         substeps=config.substeps,
     )
     try:
@@ -217,10 +215,9 @@ def run_mc_table(config: McConfig, workers: int = 1, log=None) -> McReport:
                 eta_mean=float(eta_vals.mean()) if n_converged else float("nan"),
                 eta_var=float(eta_vals.var(ddof=ddof)) if n_converged else float("nan"),
                 failed=n_failed > 0.2 * config.n_paths,
-                wall_time=total_time,  # shared run clock; not in file outputs
             )
         )
-    return McReport(cells=tuple(cells), base_seed=config.base_seed)
+    return McReport(cells=tuple(cells), base_seed=config.base_seed, wall_time=total_time)
 
 
 def _illusion_one(seed: int, m: int, m_grid: int, n_days: int, delta: float,

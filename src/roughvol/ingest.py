@@ -1,22 +1,34 @@
-"""Reading and cleaning daily realized-variance CSV files.
+"""Reading and writing CSV files, and market calendars.
 
-Input files carry one row per trading day with a configurable value
-column. Rows with missing or nonpositive values are dropped and counted;
-surviving rows are treated as consecutive business days (the volatility
-clock stops while markets are closed, so calendar gaps do not enter).
-The intraday return count m is derived from market session hours.
+Realized-variance input files carry one row per trading day with a
+configurable value column. Rows with missing or nonpositive values are
+dropped and counted; surviving rows are treated as consecutive business
+days (the volatility clock stops while markets are closed, so calendar
+gaps do not enter). The intraday return count m is derived from market
+session hours.
+
+Every file the package writes goes through :func:`atomic_write`: LF line
+endings, floats at 17 significant digits (re-read bit-exactly), and a
+temporary file renamed over the target, so a failed write never leaves a
+partial file behind.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import re
+import secrets
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .fracsim import CSV_FLOAT_FORMAT
+import numpy as np
+
+from .fracsim import GridPath
 from .proxy import RvSeries
+
+CSV_FLOAT_FORMAT = "%.17g"  # round-trips float64 exactly
 
 DEFAULT_DELTA = 1.0 / 250.0  # one business day in years
 
@@ -185,15 +197,79 @@ def read_rv_csv(
     return RvSeries(values, delta=delta, m=m), report
 
 
-def write_rv_csv(path, rv: RvSeries, dates=None) -> None:
-    """Write the canonical two-column file; a re-read reproduces the series
-    bit-exactly."""
-    if dates is None:
-        dates = [str(i) for i in range(1, len(rv) + 1)]
-    if len(dates) != len(rv):
-        raise ValueError("dates length must match the series")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "rv"])
-        for date, value in zip(dates, rv.values):
-            writer.writerow([date, CSV_FLOAT_FORMAT % value])
+def format_cell(value) -> str:
+    """Text of one output value: floats at 17 significant digits, booleans
+    as ``true``/``false``, anything else through ``str``, quoted as CSV
+    readers expect when it holds a comma, quote or line break."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return CSV_FLOAT_FORMAT % value
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_lines(header, rows):
+    """LF-terminated CSV lines: the header, then one line per row."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(format_cell(value) for value in row) + "\n"
+
+
+def atomic_write(path, lines) -> None:
+    """Write an iterable of strings to ``path`` through a temporary file in
+    the same directory, renamed over the target only once every line is
+    written. If anything raises, the target is untouched and the temporary
+    file is removed. The file gets the umask's default permissions, as a
+    plain ``open`` would give it."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.part")
+    fh = open(tmp, "x", newline="")  # exclusive: never reuses another file
+    try:
+        with fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Atomically write a CSV file; see :func:`csv_lines` and
+    :func:`atomic_write`."""
+    atomic_write(path, csv_lines(header, rows))
+
+
+def read_float_table(path, columns) -> np.ndarray:
+    """Rows of a CSV file whose header starts with ``columns``, as a float
+    array of shape (rows, len(columns)); further columns are ignored."""
+    columns = list(columns)
+    width = len(columns)
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [cell.strip() for cell in header[:width]] != columns:
+            raise IngestError(f"{path}: expected header {','.join(columns)!r}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                rows.append([float(row[i]) for i in range(width)])
+            except (IndexError, ValueError):
+                raise IngestError(f"{path}: bad row at line {lineno}") from None
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+def read_grid_csv(path, kind: str = "log_price") -> GridPath:
+    """Read a ``t,value`` file and infer the (uniform) step size."""
+    table = read_float_table(path, ("t", "value"))
+    if len(table) < 2:
+        raise IngestError(f"{path}: need at least two grid points")
+    ts = table[:, 0]
+    steps = np.diff(ts)
+    dt = steps[0]
+    if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
+        raise IngestError(f"{path}: grid is not uniformly spaced")
+    return GridPath(table[:, 1].copy(), dt=float(dt), t0=float(ts[0]), kind=kind)

@@ -8,12 +8,11 @@ law (iid centered Gaussian, variance 2/m) the estimator builds on.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fracsim import CSV_FLOAT_FORMAT, GridPath
+from .fracsim import GridPath
 
 
 class AlignmentError(ValueError):
@@ -49,18 +48,6 @@ class RvSeries:
 
     def __len__(self):
         return len(self.values)
-
-    def to_csv(self, path, dates=None) -> None:
-        """Write ``date,rv`` rows; dates default to 1..n day indices."""
-        if dates is None:
-            dates = [str(i) for i in range(1, len(self.values) + 1)]
-        if len(dates) != len(self.values):
-            raise ValueError("dates length must match values")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "rv"])
-            for d, v in zip(dates, self.values):
-                writer.writerow([d, CSV_FLOAT_FORMAT % v])
 
 
 @dataclass(frozen=True, eq=False)

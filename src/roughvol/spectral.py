@@ -10,7 +10,7 @@ and is evaluated at arbitrary frequencies by a Goertzel recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -45,25 +45,6 @@ class SpectralConfig:
             raise ValueError("quadrature tolerances must be positive")
 
 
-@dataclass(frozen=True)
-class ModelSpectrum:
-    """Spectral density parameters: roughness ``hurst``, day-scale diffusion
-    ``nu`` and intraday count ``m`` setting the noise weight 2/m."""
-
-    hurst: float
-    nu: float
-    m: int
-    config: SpectralConfig = field(default_factory=SpectralConfig)
-
-    def __post_init__(self):
-        if not 0.0 < self.hurst <= 1.0:
-            raise ValueError(f"hurst must be in (0, 1], got {self.hurst}")
-        if self.nu <= 0.0:
-            raise ValueError("nu must be positive")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-
-
 def c_h(hurst: float) -> float:
     """Normalizing constant Gamma(2H+1) * sin(pi H) / (2 pi)."""
     if not 0.0 < hurst <= 1.0:
@@ -89,18 +70,6 @@ def _cos_deficit_ratio(lam: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
-def _check_lambda_domain(lam: np.ndarray) -> None:
-    if np.any(np.abs(lam) > math.pi * (1.0 + 1e-12)):
-        raise ValueError("lambda must lie in [-pi, pi]")
-
-
-def _check_zero_frequency(lam: np.ndarray, hurst: float) -> None:
-    if hurst > 0.5 and np.any(lam == 0.0):
-        raise ValueError(
-            "f_h diverges at lambda = 0 for hurst > 1/2; exclude the origin"
-        )
-
-
 def _paxson_tail(lam1: np.ndarray, k_cut: int, exponent: float) -> np.ndarray:
     """Trapezoid-style correction for the truncated alias sum: half the sum
     of the exact integral tails started at k_cut and k_cut + 1."""
@@ -109,6 +78,67 @@ def _paxson_tail(lam1: np.ndarray, k_cut: int, exponent: float) -> np.ndarray:
     d2_k = (TWO_PI * k_cut + lam1) ** (-s2) + (TWO_PI * k_cut - lam1) ** (-s2)
     d2_k1 = (TWO_PI * (k_cut + 1) + lam1) ** (-s2) + (TWO_PI * (k_cut + 1) - lam1) ** (-s2)
     return 0.5 * scale * (d2_k + d2_k1)
+
+
+def _alias_direct(lam1: np.ndarray, k_cut: int, exponent: float) -> np.ndarray:
+    """sum_{k=1}^{K} (2 pi k + lambda)^(-s) + (2 pi k - lambda)^(-s), term by term."""
+    k = np.arange(1, k_cut + 1, dtype=float)[:, None]
+    alias = ((TWO_PI * k + lam1) ** (-exponent)).sum(axis=0)
+    alias += ((TWO_PI * k - lam1) ** (-exponent)).sum(axis=0)
+    return alias
+
+
+# Number of even-power terms in the exact binomial rearrangement below;
+# enough for machine precision at |lambda|/(2 pi) <= 1/2.
+_SERIES_TERMS = 40
+
+
+def _alias_series(lam1: np.ndarray, k_cut: int, exponent: float) -> np.ndarray:
+    """The same truncated sum rearranged exactly as an even power series in
+    lambda / (2 pi) whose coefficients involve partial zeta sums over
+    k = 1..K, turning K x len(lambda) work into ~40 fused polynomial terms."""
+    i = np.arange(_SERIES_TERMS, dtype=float)
+    # (1+u)^(-s) + (1-u)^(-s) = 2 sum_i binom(s+2i-1, 2i) u^(2i), |u| < 1
+    log_coef = gammaln(exponent + 2.0 * i) - gammaln(2.0 * i + 1.0) - gammaln(exponent)
+    coef = np.exp(log_coef)
+    k = np.arange(1, k_cut + 1, dtype=float)[:, None]
+    zeta_partial = (k ** (-(exponent + 2.0 * i))).sum(axis=0)
+
+    u2 = (lam1 / TWO_PI) ** 2
+    alias = np.zeros_like(lam1)
+    power = np.ones_like(lam1)
+    for ci, zi in zip(coef, zeta_partial):
+        alias += ci * zi * power
+        power *= u2
+    alias *= 2.0 * TWO_PI ** (-exponent)
+    return alias
+
+
+def _density(lam, hurst: float, paxson_k: int, alias_sum):
+    """Validation and assembly shared by :func:`f_h` and :func:`f_h_dense`,
+    which differ only in how ``alias_sum`` evaluates the truncated sum."""
+    if not 0.0 < hurst <= 1.0:
+        raise ValueError(f"hurst must be in (0, 1], got {hurst}")
+    if paxson_k < 1:
+        raise ValueError("paxson_k must be >= 1")
+    scalar = np.isscalar(lam) or np.ndim(lam) == 0
+    lam1 = np.abs(np.atleast_1d(np.asarray(lam, dtype=float)))
+    if np.any(lam1 > math.pi * (1.0 + 1e-12)):
+        raise ValueError("lambda must lie in [-pi, pi]")
+    if hurst > 0.5 and np.any(lam1 == 0.0):
+        raise ValueError(
+            "f_h diverges at lambda = 0 for hurst > 1/2; exclude the origin"
+        )
+
+    exponent = 3.0 + 2.0 * hurst
+    alias = alias_sum(lam1, paxson_k, exponent)
+    alias += _paxson_tail(lam1, paxson_k, exponent)
+
+    # (2(1-cos))^2 * |lam|^(-3-2H) rewritten as ratio^2 * |lam|^(1-2H) so the
+    # origin is approached without overflow; 0**0 = 1 covers hurst = 1/2.
+    ratio2 = _cos_deficit_ratio(lam1) ** 2
+    out = c_h(hurst) * ratio2 * (lam1 ** (1.0 - 2.0 * hurst) + lam1**4 * alias)
+    return float(out[0]) if scalar else out.reshape(np.shape(lam))
 
 
 def f_h(lam, hurst: float, paxson_k: int = 500):
@@ -122,78 +152,30 @@ def f_h(lam, hurst: float, paxson_k: int = 500):
     At lambda = 0 the analytic limit is returned for hurst <= 1/2 (zero for
     rough cases, C_H at exactly 1/2); for hurst > 1/2 the density diverges
     there and a ValueError is raised.
+
+    Sums the K x len(lambda) terms directly: the reference that
+    :func:`objective_oracle` and the tests hold :func:`f_h_dense` to.
     """
-    if not 0.0 < hurst <= 1.0:
-        raise ValueError(f"hurst must be in (0, 1], got {hurst}")
-    if paxson_k < 1:
-        raise ValueError("paxson_k must be >= 1")
-    scalar = np.isscalar(lam) or np.ndim(lam) == 0
-    lam1 = np.abs(np.atleast_1d(np.asarray(lam, dtype=float)))
-    _check_lambda_domain(lam1)
-    _check_zero_frequency(lam1, hurst)
-
-    exponent = 3.0 + 2.0 * hurst
-    k = np.arange(1, paxson_k + 1, dtype=float)[:, None]
-    alias = ((TWO_PI * k + lam1) ** (-exponent)).sum(axis=0)
-    alias += ((TWO_PI * k - lam1) ** (-exponent)).sum(axis=0)
-    alias += _paxson_tail(lam1, paxson_k, exponent)
-
-    # (2(1-cos))^2 * |lam|^(-3-2H) rewritten as ratio^2 * |lam|^(1-2H) so the
-    # origin is approached without overflow; 0**0 = 1 covers hurst = 1/2.
-    ratio2 = _cos_deficit_ratio(lam1) ** 2
-    lam4 = lam1**4
-    out = c_h(hurst) * ratio2 * (lam1 ** (1.0 - 2.0 * hurst) + lam4 * alias)
-    return float(out[0]) if scalar else out.reshape(np.shape(lam))
-
-
-# Number of even-power terms in the exact binomial rearrangement below;
-# enough for machine precision at |lambda|/(2 pi) <= 1/2.
-_SERIES_TERMS = 40
+    return _density(lam, hurst, paxson_k, _alias_direct)
 
 
 def f_h_dense(lam, hurst: float, paxson_k: int = 500):
     """Same value as :func:`f_h`, optimized for large frequency grids.
 
-    The truncated alias sum is rearranged exactly as an even power series
-    whose coefficients involve partial zeta sums over k = 1..K, turning the
-    K x len(lam) work into ~40 fused polynomial terms. Agrees with the
-    direct form to roundoff.
+    The production density: the truncated alias sum is evaluated as an
+    exact power-series rearrangement. Agrees with the direct form to
+    roundoff.
     """
-    if not 0.0 < hurst <= 1.0:
-        raise ValueError(f"hurst must be in (0, 1], got {hurst}")
-    if paxson_k < 1:
-        raise ValueError("paxson_k must be >= 1")
-    scalar = np.isscalar(lam) or np.ndim(lam) == 0
-    lam1 = np.abs(np.atleast_1d(np.asarray(lam, dtype=float)))
-    _check_lambda_domain(lam1)
-    _check_zero_frequency(lam1, hurst)
-
-    exponent = 3.0 + 2.0 * hurst
-    i = np.arange(_SERIES_TERMS, dtype=float)
-    # (1+u)^(-s) + (1-u)^(-s) = 2 sum_i binom(s+2i-1, 2i) u^(2i), |u| < 1
-    log_coef = gammaln(exponent + 2.0 * i) - gammaln(2.0 * i + 1.0) - gammaln(exponent)
-    coef = np.exp(log_coef)
-    k = np.arange(1, paxson_k + 1, dtype=float)[:, None]
-    zeta_partial = (k ** (-(exponent + 2.0 * i))).sum(axis=0)
-
-    u2 = (lam1 / TWO_PI) ** 2
-    alias = np.zeros_like(lam1)
-    power = np.ones_like(lam1)
-    for ci, zi in zip(coef, zeta_partial):
-        alias += ci * zi * power
-        power *= u2
-    alias *= 2.0 * TWO_PI ** (-exponent)
-    alias += _paxson_tail(lam1, paxson_k, exponent)
-
-    ratio2 = _cos_deficit_ratio(lam1) ** 2
-    out = c_h(hurst) * ratio2 * (lam1 ** (1.0 - 2.0 * hurst) + lam1**4 * alias)
-    return float(out[0]) if scalar else out.reshape(np.shape(lam))
+    return _density(lam, hurst, paxson_k, _alias_series)
 
 
-def g_spectrum(spectrum: ModelSpectrum, lam):
+def g_spectrum(lam, hurst: float, nu: float, m: int, paxson_k: int = 500):
     """Model spectral density nu^2 * f_h + (2/m) * ell; positive on (0, pi]."""
-    f_vals = f_h(lam, spectrum.hurst, spectrum.config.paxson_k)
-    return spectrum.nu**2 * f_vals + (2.0 / spectrum.m) * ell(lam)
+    if nu <= 0.0:
+        raise ValueError("nu must be positive")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return nu**2 * f_h_dense(lam, hurst, paxson_k) + (2.0 / m) * ell(lam)
 
 
 def periodogram(y, lam):

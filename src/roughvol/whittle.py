@@ -287,16 +287,11 @@ class WhittleObjective:
         return float(weights @ integrand) / TWO_PI
 
     def corrections(self, hurst: float, nu: float) -> float:
+        """Objective mass below the cut frequency: a1 + a2."""
         cfg = self.config
-        _warn_if_truncated(hurst, nu, cfg.psi, cfg.taylor_j, self.m, self.n - 1)
-        a1 = correction_a1(hurst, nu, cfg.psi, self.m)
-        weights = _a_values(
-            hurst, nu, np.arange(self.n, dtype=float), cfg.psi, cfg.taylor_j, self.m
+        return correction_a1(hurst, nu, cfg.psi, self.m) + correction_a2(
+            hurst, nu, cfg.psi, cfg.taylor_j, self.m, self.gamma_hat
         )
-        a2 = weights[0] * self.gamma_hat[0] + 2.0 * float(
-            weights[1:] @ self.gamma_hat[1:]
-        )
-        return a1 + a2 / TWO_PI
 
     def value(self, hurst: float, nu: float) -> float:
         _validate_point(hurst, nu)

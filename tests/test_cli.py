@@ -7,6 +7,7 @@ import pytest
 
 import roughvol as rv
 from roughvol.cli import dispatch
+from roughvol.ingest import format_cell
 
 
 def run(argv):
@@ -200,3 +201,59 @@ class TestMcCommand:
         cfg = tmp_path / "mc.cfg"
         cfg.write_text("h0_lst = 0.3\n")
         assert run(["mc", "--config", cfg, "--seed", 1, "--out", tmp_path / "o.csv"]) == 1
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    inputs = tmp_path_factory.mktemp("inputs")
+    assert run(["simulate", "--h", 0.2, "--eta", 1, "--days", 120, "--m", 8,
+                "--seed", 5, "--out", inputs / "price.csv"]) == 0
+    assert run(["rv", "--price", inputs / "price.csv", "--m", 8,
+                "--out", inputs / "rv.csv"]) == 0
+    (inputs / "starts.csv").write_text("h,nu\n0.2,0.33\n")
+    (inputs / "raw.csv").write_text("date,rv\n2020-01-02,1e-4\n2020-01-03,0\n2020-01-06,2.7e-4\n")
+    (inputs / "mc.cfg").write_text("h0_list = 0.3\neta0_list = 1\nm_list = 20\n"
+                                   "n_paths = 2\nn_days = 120\n")
+    return inputs
+
+
+# Every subcommand that writes CSV files; {in} is the inputs directory and
+# {out} the directory the outputs go to.
+CSV_WRITERS = {
+    "simulate": ["simulate", "--h", 0.2, "--eta", 1, "--days", 10, "--m", 8, "--seed", 1,
+                 "--out", "{out}/price.csv", "--out-logvar", "{out}/logvar.csv"],
+    "rv": ["rv", "--price", "{in}/price.csv", "--m", 8, "--out", "{out}/rv.csv"],
+    "estimate": ["estimate", "--rv", "{in}/rv.csv", "--m", 8, "--starts", "{in}/starts.csv",
+                 "--out", "{out}/fit.csv"],
+    "scaling": ["scaling", "--rv", "{in}/rv.csv", "--lags", "1:5", "--out", "{out}/scaling.csv",
+                "--summary-out", "{out}/summary.csv"],
+    "spectrum": ["spectrum", "--h", 0.1, "--nu", 0.5, "--m", 80, "--points", 16,
+                 "--out", "{out}/spectrum.csv"],
+    "mc": ["mc", "--config", "{in}/mc.cfg", "--seed", 3, "--out", "{out}/mc.csv"],
+    "illusion": ["illusion", "--seed", 3, "--frequencies", "4,8", "--days", 60,
+                 "--out", "{out}/illusion.csv"],
+    "zscore": ["zscore", "--m", 50, "--days", 50, "--seed", 2, "--out", "{out}/z.csv"],
+    "ingest-check": ["ingest-check", "--rv", "{in}/raw.csv", "--m", 78,
+                     "--out", "{out}/canonical.csv"],
+}
+
+
+class TestOutputFormat:
+    @pytest.mark.parametrize("sub", sorted(CSV_WRITERS))
+    def test_lf_rows_reread_bit_exactly(self, sub, cli_inputs, tmp_path):
+        argv = [str(a).format(**{"in": cli_inputs, "out": tmp_path}) for a in CSV_WRITERS[sub]]
+        assert run(argv) == 0
+        outputs = sorted(tmp_path.glob("*.csv"))
+        assert outputs
+        n_floats = 0
+        for path in outputs:
+            data = path.read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n")
+            for cell in data.decode().replace("\n", ",").split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # header, date or boolean
+                assert format_cell(value) == cell  # 17 digits: float(cell) is exact
+                n_floats += "." in cell or "e" in cell
+        assert n_floats

@@ -178,13 +178,16 @@ class TestGridPath:
         values = np.random.default_rng(0).standard_normal(64)
         path = GridPath(values, dt=1.0 / 3.0, t0=0.25)
         target = tmp_path / "grid.csv"
-        path.to_csv(target)
-        back = GridPath.from_csv(target)
+        rv.write_csv(target, ["t", "value"], zip(path.times(), path.values))
+        assert b"\r" not in target.read_bytes()
+        back = rv.read_grid_csv(target, kind="log_variance")
         assert np.array_equal(back.values, path.values)
         assert back.dt == pytest.approx(path.dt, rel=1e-12)
+        assert back.t0 == path.t0
+        assert back.kind == "log_variance"
 
     def test_from_csv_rejects_nonuniform(self, tmp_path):
         target = tmp_path / "bad.csv"
         target.write_text("t,value\n0,1\n1,2\n3,4\n")
         with pytest.raises(ValueError, match="uniform"):
-            GridPath.from_csv(target)
+            rv.read_grid_csv(target)

@@ -54,11 +54,7 @@ class TestRunMcTable:
     def test_worker_count_invariance(self):
         serial = rv.run_mc_table(small_config(), workers=1)
         parallel = rv.run_mc_table(small_config(), workers=4)
-        for c_serial, c_parallel in zip(serial.cells, parallel.cells):
-            stats = ("h_mean", "h_var", "eta_mean", "eta_var",
-                     "n_converged", "n_failed")
-            for field in stats:  # wall_time legitimately differs
-                assert getattr(c_serial, field) == getattr(c_parallel, field)
+        assert serial.cells == parallel.cells
 
     def test_repeat_run_bit_identical(self):
         first = rv.run_mc_table(small_config())

@@ -1,10 +1,14 @@
 """CSV ingestion and market-calendar tests."""
 
+import csv
+import os
+import stat
+
 import numpy as np
 import pytest
 
 import roughvol as rv
-from roughvol.ingest import IngestError
+from roughvol.ingest import IngestError, read_float_table
 
 
 class TestComputeM:
@@ -100,10 +104,66 @@ class TestReadRvCsv:
         )
         series, report = rv.read_rv_csv(original, m=78)
         canonical = tmp_path / "canonical.csv"
-        rv.write_rv_csv(canonical, series, dates=report.kept_dates)
+        rv.write_csv(canonical, ["date", "rv"], zip(report.kept_dates, series.values))
         series2, report2 = rv.read_rv_csv(canonical, m=78)
         assert np.array_equal(series.values, series2.values)
         assert report2.kept_dates == report.kept_dates
         canonical2 = tmp_path / "canonical2.csv"
-        rv.write_rv_csv(canonical2, series2, dates=report2.kept_dates)
-        assert canonical.read_text() == canonical2.read_text()
+        rv.write_csv(canonical2, ["date", "rv"], zip(report2.kept_dates, series2.values))
+        assert canonical.read_bytes() == canonical2.read_bytes()
+        assert canonical.read_bytes() == (
+            b"date,rv\n2020-01-02,0.00010412416347183461\n2020-01-03,0.00027319399999999999\n"
+        )
+
+
+class TestWriteCsv:
+    def test_cells_and_line_endings(self, tmp_path):
+        target = tmp_path / "out.csv"
+        rows = [(0.1, 3, True, "x"), (np.float64(1 / 3), -2, False, 'say "hi", twice')]
+        rv.write_csv(target, ["a", "b", "c", "d"], rows)
+        assert target.read_bytes() == (
+            b"a,b,c,d\n0.10000000000000001,3,true,x\n"
+            b'0.33333333333333331,-2,false,"say ""hi"", twice"\n'
+        )
+        with open(target, newline="") as fh:
+            assert list(csv.reader(fh))[2][3] == 'say "hi", twice'
+
+    def test_failed_write_leaves_target_untouched(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("previous\n")
+
+        def rows():
+            yield (1.0, 2.0)
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            rv.write_csv(target, ["a", "b"], rows())
+        assert target.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_permissions_follow_umask(self, tmp_path):
+        target = tmp_path / "out.csv"
+        rv.write_csv(target, ["a"], [(1.0,)])
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
+class TestReadFloatTable:
+    def test_reads_leading_columns(self, tmp_path):
+        target = tmp_path / "starts.csv"
+        target.write_text("h,nu,note\n0.1,0.5,a\n0.30000000000000004,2\n")
+        table = read_float_table(target, ("h", "nu"))
+        assert table.shape == (2, 2)
+        assert table[1, 0] == 0.30000000000000004
+
+    def test_empty_body_and_errors(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("h,nu\n")
+        assert read_float_table(target, ("h", "nu")).shape == (0, 2)
+        target.write_text("nu,h\n1,2\n")
+        with pytest.raises(IngestError, match="expected header 'h,nu'"):
+            read_float_table(target, ("h", "nu"))
+        target.write_text("h,nu\n1,2\n3\n")
+        with pytest.raises(IngestError, match="line 3"):
+            read_float_table(target, ("h", "nu"))

@@ -83,10 +83,13 @@ class TestFh:
             rv.f_h(0.0, 0.7)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            rv.f_h(0.5, 1.5)
-        with pytest.raises(ValueError):
-            rv.f_h(4.0, 0.3)
+        for density in (rv.f_h, rv.f_h_dense):
+            with pytest.raises(ValueError):
+                density(0.5, 1.5)
+            with pytest.raises(ValueError):
+                density(4.0, 0.3)
+            with pytest.raises(ValueError, match="paxson_k"):
+                density(0.5, 0.3, 0)
 
     @given(
         hurst=st.floats(min_value=0.02, max_value=0.99),
@@ -113,31 +116,33 @@ class TestEll:
 
 
 class TestGSpectrum:
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError, match="nu must be positive"):
+            rv.g_spectrum(1.0, 0.3, 0.0, 80)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            rv.g_spectrum(1.0, 0.3, 1.0, 0)
+
     def test_noise_only(self):
-        spectrum = rv.ModelSpectrum(hurst=0.3, nu=1e-30, m=50)
         lam = 1.3
-        assert rv.g_spectrum(spectrum, lam) == pytest.approx((2.0 / 50) * rv.ell(lam), rel=1e-6)
+        assert rv.g_spectrum(lam, 0.3, 1e-30, 50) == pytest.approx((2.0 / 50) * rv.ell(lam), rel=1e-6)
 
     def test_large_m_limit(self):
-        spectrum = rv.ModelSpectrum(hurst=0.3, nu=1.0, m=10**9)
         lam = 1.3
-        assert rv.g_spectrum(spectrum, lam) == pytest.approx(rv.f_h(lam, 0.3), rel=1e-6)
+        assert rv.g_spectrum(lam, 0.3, 1.0, 10**9) == pytest.approx(rv.f_h(lam, 0.3), rel=1e-6)
 
     def test_additivity_at_closed_form_point(self):
         # noise term at pi is (2/m) * ell(pi) = 4/(m pi), since ell(pi) = 2/pi
-        spectrum = rv.ModelSpectrum(hurst=0.5, nu=1.0, m=80)
         expected = 1.0 / (6.0 * math.pi) + 4.0 / (80.0 * math.pi)
-        assert rv.g_spectrum(spectrum, math.pi) == pytest.approx(expected, abs=1e-8)
+        assert rv.g_spectrum(math.pi, 0.5, 1.0, 80) == pytest.approx(expected, abs=1e-8)
 
     def test_positive_and_vanishing_at_origin_for_rough(self):
         lam = np.array([1e-8, 1e-4, 0.1, 1.0, math.pi])
         for hurst in (0.05, 0.3, 0.49):
-            spectrum = rv.ModelSpectrum(hurst=hurst, nu=2.0, m=80)
-            g = rv.g_spectrum(spectrum, lam)
+            g = rv.g_spectrum(lam, hurst, 2.0, 80)
             assert np.all(g > 0.0)
             # decay toward zero is lambda**(1-2H): fast for small hurst,
             # logarithmically slow as hurst approaches 1/2
-            trail = [float(rv.g_spectrum(spectrum, x)) for x in (1e-2, 1e-6, 1e-12)]
+            trail = [float(rv.g_spectrum(x, hurst, 2.0, 80)) for x in (1e-2, 1e-6, 1e-12)]
             assert trail[0] > trail[1] > trail[2] > 0.0
             limit_scale = 4.0 * rv.c_h(hurst) * 1e-12 ** (1.0 - 2.0 * hurst)
             assert trail[2] == pytest.approx(limit_scale, rel=1e-3)

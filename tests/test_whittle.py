@@ -211,6 +211,15 @@ class TestObjective:
                                       small_sim_series.m, gamma)
                 assert abs(a1) + abs(a2) < 1e-3
 
+    def test_corrections_are_a1_plus_a2(self, small_sim_series):
+        workspace = rv.WhittleObjective(small_sim_series, CFG)
+        m = small_sim_series.m
+        for hurst in np.linspace(0.01, 0.99, 7):
+            for nu in (0.05, 1.0, 3.0):
+                a1 = rv.correction_a1(hurst, nu, CFG.psi, m)
+                a2 = rv.correction_a2(hurst, nu, CFG.psi, CFG.taylor_j, m, workspace.gamma_hat)
+                assert workspace.corrections(hurst, nu) == a1 + a2
+
 
 class TestObjectiveOracle:
     def test_zero_series_is_pure_penalty(self):
