@@ -11,6 +11,7 @@ explicit --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import math
 import os
@@ -20,6 +21,11 @@ import numpy as np
 
 from .fracsim import FouSpec, simulate_fou_price
 from .harness import (
+    DEFAULT_ALPHA,
+    DEFAULT_C,
+    ILLUSION_FREQUENCIES,
+    ILLUSION_N_DAYS,
+    SUMMARY_DIGITS,
     McConfig,
     print_mc_summary,
     run_illusion_experiment,
@@ -27,7 +33,9 @@ from .harness import (
     run_zscore_experiment,
 )
 from .ingest import (
+    DATE_COLUMN,
     DEFAULT_DELTA,
+    RV_COLUMN,
     IngestError,
     atomic_write,
     csv_lines,
@@ -42,7 +50,8 @@ from .scaling import DEFAULT_LAGS, DEFAULT_QS, fit_scaling, structure_function
 from .spectral import SpectralConfig, ell, f_h_dense, g_spectrum
 from .whittle import ParamBox, estimate
 
-SUMMARY_DIGITS = 6
+# Help text appended to a flag's description; argparse fills in the value.
+_DEFAULT = " (default %(default)s)"
 
 
 class CliError(Exception):
@@ -75,17 +84,22 @@ def _int_tuple(text: str) -> tuple:
     return tuple(int(x) for x in _parse_floats(text))
 
 
+def _show(value) -> str:
+    """A default as its flag spells it: tuples become comma lists."""
+    return ",".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
+
+
 # Monte Carlo settings: --config key, parser of its text, and the mc flag
 # that overrides it (None: config file only) with that flag's help.
 _MC_SETTINGS = (
-    ("h0_list", _float_tuple, "h0", "comma list overriding h0_list"),
-    ("eta0_list", _float_tuple, "eta0", "comma list overriding eta0_list"),
-    ("m_list", _int_tuple, "m", "comma list overriding m_list"),
-    ("n_paths", int, "paths", "paths per cell (default 30)"),
-    ("n_days", int, "days", "days per path (default 2500)"),
-    ("delta", float, "delta", "day length (default 1/250)"),
-    ("alpha", float, "alpha", "mean reversion (default 0.001)"),
-    ("c", float, "c", "long-run mean (default -3.2)"),
+    ("h0_list", _float_tuple, "h0", "comma list of true hurst values"),
+    ("eta0_list", _float_tuple, "eta0", "comma list of true eta values"),
+    ("m_list", _int_tuple, "m", "comma list of intraday counts"),
+    ("n_paths", int, "paths", "paths per cell"),
+    ("n_days", int, "days", "days per path"),
+    ("delta", float, "delta", "day length in years"),
+    ("alpha", float, "alpha", "mean reversion"),
+    ("c", float, "c", "long-run mean"),
     ("substeps", int, None, None),
 )
 
@@ -104,51 +118,54 @@ def _parse_lags(text: str) -> list[int]:
         raise CliError(f"cannot parse lag list {text!r}") from None
 
 
-def _spectral_config(args) -> SpectralConfig:
+# Descriptions of the estimate flags generated from ParamBox and
+# SpectralConfig, one per field.
+_FIELD_HELP = {
+    "h_min": "lower hurst bound",
+    "h_max": "upper hurst bound",
+    "eta_min": "lower eta bound",
+    "eta_max": "upper eta bound",
+    "paxson_k": "alias-sum truncation",
+    "taylor_j": "cosine-series terms in the corrections",
+    "psi": "cut frequency for the analytic corrections",
+    "quad_rel_tol": "relative quadrature tolerance",
+    "quad_abs_tol": "absolute quadrature tolerance",
+}
+
+
+def _add_field_flags(parser, cls) -> None:
+    """One flag per field of the dataclass ``cls``, defaulting to its default."""
+    for f in dataclasses.fields(cls):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                            default=f.default, help=_FIELD_HELP[f.name] + _DEFAULT)
+
+
+def _from_field_flags(cls, args):
+    """The ``cls`` instance that the flags of :func:`_add_field_flags` describe."""
     try:
-        return SpectralConfig(
-            paxson_k=args.paxson_k,
-            taylor_j=args.taylor_j,
-            psi=args.psi,
-            quad_rel_tol=args.quad_rel_tol,
-            quad_abs_tol=args.quad_abs_tol,
-        )
+        return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
-def _param_box(args) -> ParamBox:
+def _add_rv_flags(parser) -> None:
+    """The input flags of the commands that read a realized-variance CSV."""
+    parser.add_argument("--rv", required=True, help="realized-variance CSV")
+    parser.add_argument("--column", default=RV_COLUMN, help="value column name" + _DEFAULT)
+    parser.add_argument("--date-column", default=DATE_COLUMN, help="date column name" + _DEFAULT)
+    parser.add_argument("--delta", type=float, default=DEFAULT_DELTA,
+                        help="day length in years" + _DEFAULT)
+
+
+def _read_rv(args, strict: bool = False):
+    _require_file(args.rv)
     try:
-        return ParamBox(
-            h_min=args.h_min, h_max=args.h_max,
-            eta_min=args.eta_min, eta_max=args.eta_max,
+        return read_rv_csv(
+            args.rv, m=args.m, delta=args.delta,
+            column=args.column, date_column=args.date_column, strict=strict,
         )
-    except ValueError as exc:
+    except ValueError as exc:  # IngestError, or a series the model rejects
         raise CliError(str(exc)) from None
-
-
-def _add_spectral_flags(parser) -> None:
-    parser.add_argument("--psi", type=float, default=1e-5,
-                        help="cut frequency for the analytic corrections (default 1e-5)")
-    parser.add_argument("--paxson-k", type=int, default=500,
-                        help="alias-sum truncation (default 500)")
-    parser.add_argument("--taylor-j", type=int, default=20,
-                        help="cosine-series terms in the corrections (default 20)")
-    parser.add_argument("--quad-rel-tol", type=float, default=1e-8,
-                        help="relative quadrature tolerance (default 1e-8)")
-    parser.add_argument("--quad-abs-tol", type=float, default=1e-10,
-                        help="absolute quadrature tolerance (default 1e-10)")
-
-
-def _add_box_flags(parser) -> None:
-    parser.add_argument("--h-min", type=float, default=0.001,
-                        help="lower hurst bound (default 0.001)")
-    parser.add_argument("--h-max", type=float, default=0.99,
-                        help="upper hurst bound (default 0.99)")
-    parser.add_argument("--eta-min", type=float, default=0.1,
-                        help="lower eta bound (default 0.1)")
-    parser.add_argument("--eta-max", type=float, default=10.0,
-                        help="upper eta bound (default 10.0)")
 
 
 def build_parser() -> _Parser:
@@ -161,14 +178,15 @@ def build_parser() -> _Parser:
                        help="simulate the fractional volatility price model")
     p.add_argument("--h", type=float, required=True, help="hurst parameter of the volatility noise")
     p.add_argument("--eta", type=float, required=True, help="volatility-of-volatility")
-    p.add_argument("--alpha", type=float, default=0.001, help="mean-reversion speed (default 0.001)")
-    p.add_argument("--c", type=float, default=-3.2, help="long-run mean of log variance (default -3.2)")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="mean-reversion speed" + _DEFAULT)
+    p.add_argument("--c", type=float, default=DEFAULT_C, help="long-run mean of log variance" + _DEFAULT)
     p.add_argument("--logvar0", type=float, default=None, help="initial log variance (default: c)")
-    p.add_argument("--s0", type=float, default=100.0, help="initial price (default 100)")
+    p.add_argument("--s0", type=float, default=FouSpec.s0, help="initial price" + _DEFAULT)
     p.add_argument("--days", type=int, required=True, help="number of days to simulate")
     p.add_argument("--m", type=int, required=True, help="grid steps per day")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="day length in years (default 1/250)")
-    p.add_argument("--substeps", type=int, default=1, help="simulation substeps per grid step (default 1)")
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="day length in years" + _DEFAULT)
+    p.add_argument("--substeps", type=int, default=FouSpec.substeps,
+                   help="simulation substeps per grid step" + _DEFAULT)
     p.add_argument("--seed", type=int, required=True, help="random seed (required)")
     p.add_argument("--out", required=True, help="log-price CSV output path")
     p.add_argument("--out-logvar", default=None, help="optional log-variance CSV output path")
@@ -177,34 +195,27 @@ def build_parser() -> _Parser:
                        help="compute daily realized variance from a log-price grid")
     p.add_argument("--price", required=True, help="log-price CSV (t,value)")
     p.add_argument("--m", type=int, required=True, help="intraday returns per day")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="day length in years (default 1/250)")
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="day length in years" + _DEFAULT)
     p.add_argument("--out", required=True, help="realized-variance CSV output path")
 
     p = sub.add_parser("estimate",
                        help="fit (hurst, eta) to a realized-variance series")
-    p.add_argument("--rv", required=True, help="realized-variance CSV")
-    p.add_argument("--column", default="rv", help="value column name (default rv)")
-    p.add_argument("--date-column", default="date", help="date column name (default date)")
+    _add_rv_flags(p)
     p.add_argument("--m", type=int, required=True, help="intraday returns behind each value")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="day length in years (default 1/250)")
     p.add_argument("--starts", default=None,
                    help="CSV of optimizer starts with columns h,nu (default: built-in grid)")
     p.add_argument("--out", default=None, help="result CSV path (default: stdout)")
     p.add_argument("--diagnostics", default=None, help="key=value sidecar path")
-    _add_box_flags(p)
-    _add_spectral_flags(p)
+    _add_field_flags(p, ParamBox)
+    _add_field_flags(p, SpectralConfig)
 
     p = sub.add_parser("scaling",
                        help="structure-function regressions on realized volatility")
-    p.add_argument("--rv", required=True, help="realized-variance CSV")
-    p.add_argument("--column", default="rv", help="value column name (default rv)")
-    p.add_argument("--date-column", default="date", help="date column name (default date)")
-    p.add_argument("--m", type=int, default=1, help="intraday count metadata (default 1)")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="day length in years (default 1/250)")
-    p.add_argument("--qs", default=",".join(str(q) for q in DEFAULT_QS),
-                   help="comma-separated moments (default 0.5,1,1.5,2,3)")
-    lags = f"{DEFAULT_LAGS[0]}:{DEFAULT_LAGS[-1]}"
-    p.add_argument("--lags", default=lags, help=f"lag range lo:hi or comma list (default {lags})")
+    _add_rv_flags(p)
+    p.add_argument("--m", type=int, default=1, help="intraday count metadata" + _DEFAULT)
+    p.add_argument("--qs", default=_show(DEFAULT_QS), help="comma-separated moments" + _DEFAULT)
+    p.add_argument("--lags", default=f"{DEFAULT_LAGS[0]}:{DEFAULT_LAGS[-1]}",
+                   help="lag range lo:hi or comma list" + _DEFAULT)
     p.add_argument("--out", required=True, help="long-form (q,lag,log_lag,log_m) CSV output")
     p.add_argument("--summary-out", default=None, help="optional summary CSV path")
 
@@ -213,21 +224,23 @@ def build_parser() -> _Parser:
     p.add_argument("--h", type=float, required=True, help="hurst parameter")
     p.add_argument("--nu", type=float, required=True, help="day-scale diffusion nu")
     p.add_argument("--m", type=int, required=True, help="intraday count for the noise weight")
-    p.add_argument("--points", type=int, default=200, help="grid size (default 200)")
+    p.add_argument("--points", type=int, default=200, help="grid size" + _DEFAULT)
     p.add_argument("--lambda-min", type=float, default=1e-4,
-                   help="smallest frequency, log-spaced up to pi (default 1e-4)")
-    p.add_argument("--paxson-k", type=int, default=500, help="alias-sum truncation (default 500)")
+                   help="smallest frequency, log-spaced up to pi" + _DEFAULT)
+    p.add_argument("--paxson-k", type=int, default=SpectralConfig.paxson_k,
+                   help=_FIELD_HELP["paxson_k"] + _DEFAULT)
     p.add_argument("--out", required=True, help="CSV output path")
 
     p = sub.add_parser("mc",
                        help="Monte Carlo table of estimator mean/variance per cell")
     keys = ", ".join(key for key, _, _, _ in _MC_SETTINGS)
     p.add_argument("--config", default=None, help=f"key=value file with grids ({keys})")
-    for _, parse, flag, text in _MC_SETTINGS:
+    for key, parse, flag, text in _MC_SETTINGS:
         if flag is not None:
-            p.add_argument(f"--{flag}", type=parse, default=None, help=text)
+            p.add_argument(f"--{flag}", type=parse, default=None,
+                           help=f"{text} (default {_show(getattr(McConfig, key))})")
     p.add_argument("--seed", type=int, required=True, help="base seed (required)")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--workers", type=int, default=1, help="parallel workers" + _DEFAULT)
     p.add_argument("--out", required=True, help="per-cell CSV output path")
     p.add_argument("--summary-out", default=None, help="optional text summary path")
 
@@ -235,10 +248,10 @@ def build_parser() -> _Parser:
                        help="regression vs spectral estimates across RV frequencies "
                             "on one smooth-volatility path")
     p.add_argument("--seed", type=int, required=True, help="random seed (required)")
-    p.add_argument("--frequencies", default="80,400,2000",
-                   help="comma list of intraday counts (default 80,400,2000)")
-    p.add_argument("--days", type=int, default=2500, help="days to simulate (default 2500)")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--frequencies", default=_show(ILLUSION_FREQUENCIES),
+                   help="comma list of intraday counts" + _DEFAULT)
+    p.add_argument("--days", type=int, default=ILLUSION_N_DAYS, help="days to simulate" + _DEFAULT)
+    p.add_argument("--workers", type=int, default=1, help="parallel workers" + _DEFAULT)
     p.add_argument("--out", required=True, help="CSV output path")
 
     p = sub.add_parser("zscore",
@@ -250,11 +263,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ingest-check",
                        help="validate and canonicalize a realized-variance CSV")
-    p.add_argument("--rv", required=True, help="input CSV")
-    p.add_argument("--column", default="rv", help="value column name (default rv)")
-    p.add_argument("--date-column", default="date", help="date column name (default date)")
+    _add_rv_flags(p)
     p.add_argument("--m", type=int, required=True, help="intraday count metadata")
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="day length (default 1/250)")
     p.add_argument("--strict", action="store_true", help="fail if any row must be dropped")
     p.add_argument("--out", default=None, help="canonical date,rv CSV output path")
 
@@ -284,11 +294,12 @@ def _cmd_rv(args) -> int:
         rv = realized_variance(grid, args.m, args.delta)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    write_csv(args.out, ["date", "rv"], enumerate(rv.values, start=1))
+    write_csv(args.out, [DATE_COLUMN, RV_COLUMN], enumerate(rv.values, start=1))
     return 0
 
 
 def _read_starts(path: str) -> list[tuple[float, float]]:
+    _require_file(path)
     try:
         table = read_float_table(path, ("h", "nu"))
     except IngestError as exc:
@@ -299,16 +310,12 @@ def _read_starts(path: str) -> list[tuple[float, float]]:
 
 
 def _cmd_estimate(args) -> int:
-    _require_file(args.rv)
-    box = _param_box(args)
-    config = _spectral_config(args)
+    box = _from_field_flags(ParamBox, args)
+    config = _from_field_flags(SpectralConfig, args)
+    rv, _report = _read_rv(args)
     try:
-        rv, _report = read_rv_csv(
-            args.rv, m=args.m, delta=args.delta,
-            column=args.column, date_column=args.date_column,
-        )
         y = log_rv_increments(rv)
-    except (IngestError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from None
     starts = _read_starts(args.starts) if args.starts else None
     fit = estimate(y, box=box, starts=starts, config=config)
@@ -337,16 +344,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    _require_file(args.rv)
     qs = _parse_floats(args.qs)
     lags = _parse_lags(args.lags)
-    try:
-        rv, _report = read_rv_csv(
-            args.rv, m=args.m, delta=args.delta,
-            column=args.column, date_column=args.date_column,
-        )
-    except (IngestError, ValueError) as exc:
-        raise CliError(str(exc)) from None
+    rv, _report = _read_rv(args)
     log_vol = 0.5 * np.log(rv.values)  # variance series in, volatility out
     fit = fit_scaling(log_vol, qs=qs, lags=lags)
     rows = []
@@ -477,17 +477,9 @@ def _cmd_zscore(args) -> int:
 
 
 def _cmd_ingest_check(args) -> int:
-    _require_file(args.rv)
-    try:
-        rv, report = read_rv_csv(
-            args.rv, m=args.m, delta=args.delta,
-            column=args.column, date_column=args.date_column,
-            strict=args.strict,
-        )
-    except IngestError as exc:
-        raise CliError(str(exc)) from None
+    rv, report = _read_rv(args, strict=args.strict)
     if args.out:
-        write_csv(args.out, ["date", "rv"], zip(report.kept_dates, rv.values))
+        write_csv(args.out, [DATE_COLUMN, RV_COLUMN], zip(report.kept_dates, rv.values))
     reasons = ", ".join(f"{k}={v}" for k, v in sorted(report.reasons.items())) or "none"
     print(
         f"rows_read={report.rows_read} kept={report.rows_kept} "

@@ -29,6 +29,9 @@ _PRICE_STREAM = 2
 _EIG_TOLERANCE = -1e-10
 _CHOLESKY_LIMIT = 8192
 
+# Simulation raises VolatilityOverflowError once |log variance| passes this.
+_LOGVAR_BOUND = 50.0
+
 PATH_KINDS = ("log_price", "log_variance", "fgn")
 
 
@@ -37,7 +40,7 @@ class SynthesisError(RuntimeError):
 
 
 class VolatilityOverflowError(RuntimeError):
-    """|log variance| escaped the configured safety bound during simulation."""
+    """|log variance| escaped its safety bound during simulation."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +117,6 @@ class FouSpec:
     logvar0: float | None = None  # defaults to the long-run mean c
     s0: float = 100.0
     substeps: int = 1
-    logvar_bound: float = 50.0
 
     def __post_init__(self):
         if not 0.0 < self.hurst <= 1.0:
@@ -135,8 +137,6 @@ class FouSpec:
             raise ValueError("s0 must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.logvar_bound <= 0.0:
-            raise ValueError("logvar_bound must be positive")
 
     @property
     def start_logvar(self) -> float:
@@ -239,10 +239,10 @@ def simulate_fou_price(spec: FouSpec) -> tuple[GridPath, GridPath]:
     logvar[1:] = lfilter([1.0], [1.0, -decay], drive, zi=[decay * logvar[0]])[0]
 
     worst = np.max(np.abs(logvar))
-    if not np.isfinite(worst) or worst > spec.logvar_bound:
+    if not np.isfinite(worst) or worst > _LOGVAR_BOUND:
         raise VolatilityOverflowError(
             f"|log variance| reached {worst:.3g}, beyond the bound "
-            f"{spec.logvar_bound:.3g}; check alpha, eta, dt"
+            f"{_LOGVAR_BOUND:.3g}; check alpha, eta, dt"
         )
 
     sigma = np.exp(0.5 * logvar[:-1])

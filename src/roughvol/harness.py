@@ -12,18 +12,21 @@ from __future__ import annotations
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fracsim import FouSpec, simulate_fou_price
+from .ingest import DEFAULT_DELTA
 from .proxy import error_zscores, integrated_variance, log_rv_increments, realized_variance
 from .scaling import fit_scaling
-from .spectral import SpectralConfig
-from .whittle import ParamBox, estimate
+from .whittle import estimate
 
 DEFAULT_ALPHA = 0.001
 DEFAULT_C = -3.2
+
+# Significant digits of the printed experiment summaries.
+SUMMARY_DIGITS = 6
 
 # Dynamics for the illusive-roughness experiment: a genuinely smooth
 # (hurst = 1/2) strongly mean-reverting volatility whose 5-minute realized
@@ -32,6 +35,14 @@ ILLUSION_HURST = 0.5
 ILLUSION_ETA = 0.8
 ILLUSION_ALPHA = 10.0
 ILLUSION_C = -3.2
+# Its default design: intraday counts analyzed, and days simulated.
+ILLUSION_FREQUENCIES = (80, 400, 2000)
+ILLUSION_N_DAYS = 2500
+
+# Dynamics for the z-score check: volatility nearly constant within each
+# day, where the 2/m limit of the scaled proxy error is sharp at practical m.
+ZSCORE_HURST = 0.5
+ZSCORE_ETA = 0.5
 
 # Reduced multi-start grid for experiment fits, covering rough through
 # smooth starts and a wide nu range.
@@ -48,13 +59,11 @@ class McConfig:
     m_list: tuple = (80,)
     n_paths: int = 30
     n_days: int = 2500
-    delta: float = 1.0 / 250.0
+    delta: float = DEFAULT_DELTA
     alpha: float = DEFAULT_ALPHA
     c: float = DEFAULT_C
     base_seed: int = 0
-    substeps: int = 1
-    box: ParamBox = field(default_factory=ParamBox)
-    spectral: SpectralConfig = field(default_factory=SpectralConfig)
+    substeps: int = 4  # simulation steps per intraday return
     start_at_truth: bool = True
 
     def __post_init__(self):
@@ -146,13 +155,7 @@ def _fit_one_path(config: McConfig, h0: float, eta0: float, m: int, path_index: 
             starts = [(h0, eta0 * config.delta**h0)]
         else:
             starts = None
-        fit = estimate(
-            y,
-            box=config.box,
-            starts=starts,
-            config=config.spectral,
-            warn_conditions=False,
-        )
+        fit = estimate(y, starts=starts, warn_conditions=False)
     except Exception as exc:  # a failed path must not sink the whole cell
         return (path_index, None, None, f"{type(exc).__name__}: {exc}")
     if not fit.converged:
@@ -220,25 +223,24 @@ def run_mc_table(config: McConfig, workers: int = 1, log=None) -> McReport:
     return McReport(cells=tuple(cells), base_seed=config.base_seed, wall_time=total_time)
 
 
-def _illusion_one(seed: int, m: int, m_grid: int, n_days: int, delta: float,
-                  spectral: SpectralConfig, box: ParamBox) -> IllusionRow:
+def _illusion_one(seed: int, m: int, m_grid: int, n_days: int) -> IllusionRow:
     spec = FouSpec(
         hurst=ILLUSION_HURST,
         eta=ILLUSION_ETA,
         alpha=ILLUSION_ALPHA,
         c=ILLUSION_C,
-        delta=delta,
+        delta=DEFAULT_DELTA,
         m=m_grid,
         n_days=n_days,
         seed=seed,
     )
     _, log_price = simulate_fou_price(spec)
-    rv = realized_variance(log_price, m, delta)
+    rv = realized_variance(log_price, m, DEFAULT_DELTA)
     log_vol = 0.5 * np.log(rv.values)
     scal = fit_scaling(log_vol)
     y = log_rv_increments(rv)
     starts = [(h, v) for h in _EXPERIMENT_START_H for v in _EXPERIMENT_START_NU]
-    fit = estimate(y, box=box, starts=starts, config=spectral, warn_conditions=False)
+    fit = estimate(y, starts=starts, warn_conditions=False)
     return IllusionRow(m=m, scaling_h=scal.h_estimate,
                        whittle_h=fit.h_hat, whittle_eta=fit.eta_hat)
 
@@ -249,11 +251,8 @@ def _illusion_task(task):
 
 def run_illusion_experiment(
     seed: int,
-    frequencies=(80, 400, 2000),
-    n_days: int = 2500,
-    delta: float = 1.0 / 250.0,
-    spectral: SpectralConfig | None = None,
-    box: ParamBox | None = None,
+    frequencies=ILLUSION_FREQUENCIES,
+    n_days: int = ILLUSION_N_DAYS,
     workers: int = 1,
 ) -> list[IllusionRow]:
     """One simulated smooth-volatility price path, analyzed at several
@@ -272,9 +271,7 @@ def run_illusion_experiment(
             raise ValueError(
                 f"every frequency must divide the finest one; {m} does not divide {m_grid}"
             )
-    spectral = spectral if spectral is not None else SpectralConfig()
-    box = box if box is not None else ParamBox()
-    tasks = [(seed, m, m_grid, n_days, delta, spectral, box) for m in frequencies]
+    tasks = [(seed, m, m_grid, n_days) for m in frequencies]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_illusion_task, tasks))
@@ -283,37 +280,28 @@ def run_illusion_experiment(
     return rows
 
 
-def run_zscore_experiment(
-    m: int,
-    n_days: int,
-    seed: int,
-    hurst: float = 0.5,
-    eta: float = 0.5,
-    alpha: float = DEFAULT_ALPHA,
-    c: float = DEFAULT_C,
-    delta: float = 1.0 / 250.0,
-) -> ZscoreResult:
+def run_zscore_experiment(m: int, n_days: int, seed: int) -> ZscoreResult:
     """Distribution check of the scaled log proxy error.
 
     Simulates the model, computes sqrt(m) * (log realized variance - log
     integrated variance) per day and reports its sample variance (limit 2),
     lag-1 autocorrelation (limit 0) and skewness (limit 0).
 
-    The defaults keep volatility nearly constant within each day, where the
-    limit is sharp at practical m. Rough settings (small hurst with large
-    eta) inflate the variance above 2 at any fixed day length because the
-    volatility then moves materially inside a day; that finite-resolution
-    effect is real, not an artifact.
+    The dynamics (``ZSCORE_*``) keep volatility nearly constant within each
+    day. Rough settings (small hurst with large eta) inflate the variance
+    above 2 at any fixed day length because the volatility then moves
+    materially inside a day; that finite-resolution effect is real, not an
+    artifact.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     spec = FouSpec(
-        hurst=hurst, eta=eta, alpha=alpha, c=c,
-        delta=delta, m=m, n_days=n_days, seed=seed,
+        hurst=ZSCORE_HURST, eta=ZSCORE_ETA, alpha=DEFAULT_ALPHA, c=DEFAULT_C,
+        delta=DEFAULT_DELTA, m=m, n_days=n_days, seed=seed,
     )
     log_var, log_price = simulate_fou_price(spec)
-    rv = realized_variance(log_price, m, delta)
-    iv = integrated_variance(log_var, delta)
+    rv = realized_variance(log_price, m, DEFAULT_DELTA)
+    iv = integrated_variance(log_var, DEFAULT_DELTA)
     z = error_zscores(rv, iv)
     centered = z - z.mean()
     variance = float(np.var(z, ddof=1))
@@ -325,14 +313,15 @@ def run_zscore_experiment(
     )
 
 
-def print_mc_summary(report: McReport, file=sys.stdout, digits: int = 6) -> None:
+def print_mc_summary(report: McReport, file=sys.stdout) -> None:
     """Human-readable per-cell lines (stats only, no timing)."""
     for cell in report.cells:
         status = "FAILED" if cell.failed else "ok"
         print(
             f"h0={cell.h0:g} eta0={cell.eta0:g} m={cell.m}: "
-            f"h_mean={cell.h_mean:.{digits}g} h_var={cell.h_var:.{digits}g} "
-            f"eta_mean={cell.eta_mean:.{digits}g} eta_var={cell.eta_var:.{digits}g} "
+            f"h_mean={cell.h_mean:.{SUMMARY_DIGITS}g} h_var={cell.h_var:.{SUMMARY_DIGITS}g} "
+            f"eta_mean={cell.eta_mean:.{SUMMARY_DIGITS}g} "
+            f"eta_var={cell.eta_var:.{SUMMARY_DIGITS}g} "
             f"converged={cell.n_converged}/{cell.n_paths} [{status}]",
             file=file,
         )

@@ -32,6 +32,10 @@ CSV_FLOAT_FORMAT = "%.17g"  # round-trips float64 exactly
 
 DEFAULT_DELTA = 1.0 / 250.0  # one business day in years
 
+# Column names of a canonical realized-variance file, and the reader's defaults.
+DATE_COLUMN = "date"
+RV_COLUMN = "rv"
+
 _TIME_PATTERN = re.compile(r"^(\d{1,2}):(\d{2})$")
 
 
@@ -117,8 +121,8 @@ def read_rv_csv(
     path,
     m: int,
     delta: float = DEFAULT_DELTA,
-    column: str = "rv",
-    date_column: str = "date",
+    column: str = RV_COLUMN,
+    date_column: str = DATE_COLUMN,
     strict: bool = False,
 ) -> tuple[RvSeries, IngestReport]:
     """Parse a daily realized-variance file into a clean series.

@@ -141,7 +141,7 @@ def _density(lam, hurst: float, paxson_k: int, alias_sum):
     return float(out[0]) if scalar else out.reshape(np.shape(lam))
 
 
-def f_h(lam, hurst: float, paxson_k: int = 500):
+def f_h(lam, hurst: float, paxson_k: int = SpectralConfig.paxson_k):
     """Spectral density of day-averaged fractional-noise increments.
 
     Computes C_H * (2(1-cos lambda))^2 * [ |lambda|^(-3-2H)
@@ -159,7 +159,7 @@ def f_h(lam, hurst: float, paxson_k: int = 500):
     return _density(lam, hurst, paxson_k, _alias_direct)
 
 
-def f_h_dense(lam, hurst: float, paxson_k: int = 500):
+def f_h_dense(lam, hurst: float, paxson_k: int = SpectralConfig.paxson_k):
     """Same value as :func:`f_h`, optimized for large frequency grids.
 
     The production density: the truncated alias sum is evaluated as an
@@ -169,7 +169,8 @@ def f_h_dense(lam, hurst: float, paxson_k: int = 500):
     return _density(lam, hurst, paxson_k, _alias_series)
 
 
-def g_spectrum(lam, hurst: float, nu: float, m: int, paxson_k: int = 500):
+def g_spectrum(lam, hurst: float, nu: float, m: int,
+               paxson_k: int = SpectralConfig.paxson_k):
     """Model spectral density nu^2 * f_h + (2/m) * ell; positive on (0, pi]."""
     if nu <= 0.0:
         raise ValueError("nu must be positive")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +60,10 @@ class ConditionWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ParamBox:
-    """Search box for (hurst, eta); the nu box follows from delta."""
+    """Search box for (hurst, eta); the nu box follows from delta.
+
+    ``h_max`` stays below 1, where c_h vanishes and the density degenerates.
+    """
 
     h_min: float = 0.001
     h_max: float = 0.99
@@ -69,8 +71,8 @@ class ParamBox:
     eta_max: float = 10.0
 
     def __post_init__(self):
-        if not 0.0 < self.h_min < self.h_max <= 1.0:
-            raise ValueError("require 0 < h_min < h_max <= 1")
+        if not 0.0 < self.h_min < self.h_max < 1.0:
+            raise ValueError("require 0 < h_min < h_max < 1")
         if not 0.0 < self.eta_min < self.eta_max:
             raise ValueError("require 0 < eta_min < eta_max")
 
@@ -313,34 +315,16 @@ class WhittleObjective:
         )
 
 
-_workspaces: "weakref.WeakKeyDictionary[LogRvIncrements, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _workspace_for(y: LogRvIncrements, config: SpectralConfig) -> WhittleObjective:
-    per_series = _workspaces.get(y)
-    if per_series is None:
-        per_series = {}
-        _workspaces[y] = per_series
-    workspace = per_series.get(config)
-    if workspace is None:
-        workspace = WhittleObjective(y, config)
-        per_series[config] = workspace
-    return workspace
-
-
 def objective(
     y: LogRvIncrements, hurst: float, nu: float, config: SpectralConfig | None = None
 ) -> float:
     """Quasi-likelihood objective at (hurst, nu) for the given increments.
 
     Adaptive panel quadrature of log g + I/g above the cut frequency plus
-    the closed-form corrections below it. Workspaces (autocovariance,
-    periodogram samples) are cached per series.
+    the closed-form corrections below it. Builds a fresh workspace per
+    call; evaluate many points through one :class:`WhittleObjective`.
     """
-    config = config if config is not None else SpectralConfig()
-    return _workspace_for(y, config).value(hurst, nu)
+    return WhittleObjective(y, config).value(hurst, nu)
 
 
 def objective_oracle(
@@ -404,17 +388,16 @@ def check_conditions(delta: float, m: int, n: int, box: ParamBox) -> list[str]:
     return messages
 
 
-def default_starts(
-    box: ParamBox, delta: float, nu_values=(0.5, 1.5, 2.5, 3.5)
-) -> list[tuple[float, float]]:
-    """Grid of optimizer starts: a spread of hurst values crossed with the
-    given nu values, intersected with the feasible box.
+def default_starts(box: ParamBox, delta: float) -> list[tuple[float, float]]:
+    """Grid of optimizer starts: a spread of hurst values crossed with a
+    spread of nu values, intersected with the feasible box.
 
     Published variants of this start grid list integer hurst entries
     (1, 2, ..., 9) that no admissible box can contain; they are read here
     as tenths, giving the even spread 0.1 .. 0.9 alongside 0.01 and 0.05.
     """
     h_values = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    nu_values = (0.5, 1.5, 2.5, 3.5)
     nu_lo, nu_hi = box.nu_bounds(delta)
     starts = [
         (h, v)
@@ -429,12 +412,17 @@ def default_starts(
 
 
 def _central_gradient(fun, x: np.ndarray) -> np.ndarray:
+    """Central differences in (hurst, log nu); backward in hurst where the
+    forward point would pass hurst = 1, the edge of the density's domain."""
     grad = np.empty_like(x)
     for i in range(len(x)):
         step = 1e-6 * max(abs(x[i]), 1.0)
         bump = np.zeros_like(x)
         bump[i] = step
-        grad[i] = (fun(x + bump) - fun(x - bump)) / (2.0 * step)
+        if i == 0 and x[0] + step > 1.0:
+            grad[i] = (fun(x) - fun(x - bump)) / step
+        else:
+            grad[i] = (fun(x + bump) - fun(x - bump)) / (2.0 * step)
     return grad
 
 
@@ -455,7 +443,6 @@ def estimate(
     scales are managed externally.
     """
     box = box if box is not None else ParamBox()
-    config = config if config is not None else SpectralConfig()
     if starts is None:
         starts = default_starts(box, y.delta)
     starts = [(float(h), float(v)) for h, v in starts]
@@ -469,7 +456,7 @@ def estimate(
         for message in check_conditions(y.delta, y.m, len(y), box):
             warnings.warn(message, ConditionWarning, stacklevel=2)
 
-    workspace = _workspace_for(y, config)
+    workspace = WhittleObjective(y, config)
 
     def fun(x):
         return workspace.value(float(x[0]), math.exp(float(x[1])))

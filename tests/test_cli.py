@@ -1,13 +1,16 @@
 """Command-line interface tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import roughvol as rv
+from roughvol import cli
 from roughvol.cli import dispatch
-from roughvol.ingest import format_cell
+from roughvol.harness import DEFAULT_ALPHA, DEFAULT_C
+from roughvol.ingest import DEFAULT_DELTA, format_cell
 
 
 def run(argv):
@@ -52,6 +55,14 @@ class TestEstimateCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "missing.csv" in captured.err
+
+        series = tmp_path / "rv.csv"
+        series.write_text("date,rv\n1,1e-4\n2,2e-4\n3,1.5e-4\n")
+        code = run(["estimate", "--rv", series, "--m", 78,
+                    "--starts", tmp_path / "missing-starts.csv"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "missing-starts.csv" in captured.err
 
     def test_end_to_end_fit_row(self, tmp_path, capsys):
         price = tmp_path / "price.csv"
@@ -154,9 +165,62 @@ class TestHelpListsDefaults:
     def test_estimate_help_shows_spec_defaults(self, capsys):
         run(["estimate", "--help"])
         text = " ".join(capsys.readouterr().out.split())  # undo line wrapping
-        for token in ("default 1e-5", "default 500", "default 20", "default 0.001",
-                      "default 0.99", "default 0.1", "default 10.0", "default 1/250"):
-            assert token in text
+        options = text.split("options:", 1)[1]
+        defaults = {f.name: f.default for spec in (rv.ParamBox, rv.SpectralConfig)
+                    for f in dataclasses.fields(spec)}
+        defaults["delta"] = DEFAULT_DELTA
+        for name, value in defaults.items():
+            flag = "--" + name.replace("_", "-")
+            entry = options.split(f" {flag} ", 1)[1].split(" --", 1)[0]
+            assert f"(default {value})" in entry, flag
+
+
+class TestRequiredFlagsOnly:
+    """Commands run with only their required flags use the library defaults."""
+
+    def test_estimate_builds_default_box_and_config(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_estimate(y, box, starts, config):
+            seen.update(delta=y.delta, box=box, starts=starts, config=config)
+            return rv.WhittleFit(h_hat=0.1, nu_hat=0.5, eta_hat=1.0, objective=0.0,
+                                 n_starts=1, converged=True, start_used=(0.1, 0.5),
+                                 delta=y.delta, m=y.m)
+
+        monkeypatch.setattr(cli, "estimate", fake_estimate)
+        series = tmp_path / "rv.csv"
+        series.write_text("date,rv\n1,1e-4\n2,2e-4\n3,1.5e-4\n")
+        assert run(["estimate", "--rv", series, "--m", 78]) == 0
+        assert seen == {"delta": DEFAULT_DELTA, "box": rv.ParamBox(), "starts": None,
+                        "config": rv.SpectralConfig()}
+
+    def test_simulate_builds_default_spec(self, tmp_path, monkeypatch):
+        specs = []
+
+        def recording_simulate(spec):
+            specs.append(spec)
+            return rv.simulate_fou_price(spec)
+
+        monkeypatch.setattr(cli, "simulate_fou_price", recording_simulate)
+        assert run(["simulate", "--h", 0.2, "--eta", 1, "--days", 2, "--m", 4,
+                    "--seed", 1, "--out", tmp_path / "price.csv"]) == 0
+        assert specs == [rv.FouSpec(hurst=0.2, eta=1.0, alpha=DEFAULT_ALPHA, c=DEFAULT_C,
+                                    delta=DEFAULT_DELTA, m=4, n_days=2, seed=1)]
+
+    def test_mc_builds_the_acceptance_configuration(self, tmp_path, monkeypatch):
+        configs = []
+
+        def fake_run(config, workers, log):
+            configs.append(config)
+            return rv.McReport(cells=(), base_seed=config.base_seed, wall_time=0.0)
+
+        monkeypatch.setattr(cli, "run_mc_table", fake_run)
+        assert run(["mc", "--seed", 5, "--out", tmp_path / "mc.csv"]) == 0
+        assert configs == [rv.McConfig(base_seed=5)]
+        # the acceptance suite's Monte Carlo settings
+        config = configs[0]
+        assert (config.n_paths, config.n_days, config.delta, config.substeps) == (
+            30, 2500, 1.0 / 250.0, 4)
 
 
 class TestIngestCheckCommand:

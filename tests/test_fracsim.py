@@ -146,7 +146,7 @@ class TestSimulateFouPrice:
 
     def test_overflow_guard_trips(self):
         spec = rv.FouSpec(hurst=0.5, eta=9.0, alpha=0.0, c=0.0, delta=1.0,
-                          m=200, n_days=300, seed=2, logvar0=0.0, logvar_bound=5.0)
+                          m=200, n_days=300, seed=2, logvar0=0.0)
         with pytest.raises(rv.VolatilityOverflowError):
             rv.simulate_fou_price(spec)
 

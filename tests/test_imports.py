@@ -1,4 +1,5 @@
-"""Static check on the package source: every import is used."""
+"""Static checks on the package source: every import is used, and no
+module keeps state of its own between calls."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,34 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+# Module-level caches that outlive the calls that fill them.
+WEAK_CACHES = {"WeakKeyDictionary", "WeakValueDictionary"}
+
+
+def module_state(source: str) -> list[str]:
+    """Module-level weak-reference caches and ``global`` statements."""
+    tree = ast.parse(source)
+    found = [f"global {', '.join(node.names)} (line {node.lineno})"
+             for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    for statement in tree.body:
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(statement):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name in WEAK_CACHES:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_detects_module_state():
+    source = ("import weakref\n"
+              "cache = weakref.WeakKeyDictionary()\n"
+              "def f():\n    global cache\n    return weakref.WeakValueDictionary()\n")
+    assert module_state(source) == ["global cache (line 4)", "WeakKeyDictionary (line 2)"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_module_state(module):
+    assert module_state(module.read_text()) == []

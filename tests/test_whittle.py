@@ -293,6 +293,14 @@ class TestEstimate:
         lo, hi = box.nu_bounds(1.0 / 250.0)
         assert all(lo <= v <= hi for _, v in starts)
 
+    def test_gradient_stencil_stays_below_one(self, small_sim_series):
+        # a start on an upper hurst bound within one stencil step of 1: a
+        # central difference would evaluate hurst > 1 and fail every start
+        box = rv.ParamBox(h_max=1.0 - 1e-7)
+        fit = rv.estimate(small_sim_series, box=box, starts=[(1.0, 0.5)], warn_conditions=False)
+        assert fit.start_used == (1.0, 0.5)
+        assert box.h_min <= fit.h_hat <= box.h_max
+
     def test_recovers_parameters_on_one_long_path(self):
         delta, m = 1.0 / 250.0, 80
         spec = rv.FouSpec(hurst=0.3, eta=2.0, alpha=0.001, c=-3.2,
@@ -318,6 +326,8 @@ class TestParamBox:
             rv.ParamBox(h_min=0.5, h_max=0.2)
         with pytest.raises(ValueError):
             rv.ParamBox(eta_min=-1.0)
+        with pytest.raises(ValueError, match="h_max < 1"):
+            rv.ParamBox(h_max=1.0)  # c_h(1) vanishes: the density degenerates
 
 
 class TestCheckConditions:
