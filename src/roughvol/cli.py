@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Subcommands: simulate, rv, estimate, scaling, spectrum, mc, illusion,
-zscore, ingest-check. Exit codes: 0 success, 1 validation error (bad
-flags, missing inputs, invariant violations), 2 runtime failure. Output
-files are written atomically (temp file, then rename) by
-``ingest.atomic_write``. Experiment subcommands refuse to run without an
-explicit --seed.
+zscore, ingest-check. Exit codes: 0 success; 1 for a ``ValueError`` (bad
+flags, missing or malformed inputs, invariant violations), which the
+package raises for every input it rejects; 2 for any other failure, such
+as a simulation overflow or a fit whose every start failed. ``dispatch``
+alone maps exceptions to exit codes. Output files are written atomically
+(temp file, then rename) by ``ingest.atomic_write``. Experiment
+subcommands refuse to run without an explicit --seed.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .ingest import (
     DATE_COLUMN,
     DEFAULT_DELTA,
     RV_COLUMN,
-    IngestError,
     atomic_write,
     csv_lines,
     format_cell,
@@ -54,18 +55,14 @@ from .whittle import ParamBox, estimate
 _DEFAULT = " (default %(default)s)"
 
 
-class CliError(Exception):
-    """Validation problem; printed as one line and mapped to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep codes stable
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _require_file(path: str) -> str:
     if not os.path.exists(path):
-        raise CliError(f"input file does not exist: {path}")
+        raise ValueError(f"input file does not exist: {path}")
     return path
 
 
@@ -73,7 +70,7 @@ def _parse_floats(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise CliError(f"cannot parse comma-separated numbers from {text!r}") from None
+        raise ValueError(f"cannot parse comma-separated numbers from {text!r}") from None
 
 
 def _float_tuple(text: str) -> tuple:
@@ -111,11 +108,11 @@ def _parse_lags(text: str) -> list[int]:
         try:
             return list(range(int(lo), int(hi) + 1))
         except ValueError:
-            raise CliError(f"cannot parse lag range {text!r}") from None
+            raise ValueError(f"cannot parse lag range {text!r}") from None
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise CliError(f"cannot parse lag list {text!r}") from None
+        raise ValueError(f"cannot parse lag list {text!r}") from None
 
 
 # Descriptions of the estimate flags generated from ParamBox and
@@ -142,10 +139,7 @@ def _add_field_flags(parser, cls) -> None:
 
 def _from_field_flags(cls, args):
     """The ``cls`` instance that the flags of :func:`_add_field_flags` describe."""
-    try:
-        return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _add_rv_flags(parser) -> None:
@@ -159,13 +153,10 @@ def _add_rv_flags(parser) -> None:
 
 def _read_rv(args, strict: bool = False):
     _require_file(args.rv)
-    try:
-        return read_rv_csv(
-            args.rv, m=args.m, delta=args.delta,
-            column=args.column, date_column=args.date_column, strict=strict,
-        )
-    except ValueError as exc:  # IngestError, or a series the model rejects
-        raise CliError(str(exc)) from None
+    return read_rv_csv(
+        args.rv, m=args.m, delta=args.delta,
+        column=args.column, date_column=args.date_column, strict=strict,
+    )
 
 
 def build_parser() -> _Parser:
@@ -272,14 +263,11 @@ def build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        spec = FouSpec(
-            hurst=args.h, eta=args.eta, alpha=args.alpha, c=args.c,
-            delta=args.delta, m=args.m, n_days=args.days, seed=args.seed,
-            logvar0=args.logvar0, s0=args.s0, substeps=args.substeps,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    spec = FouSpec(
+        hurst=args.h, eta=args.eta, alpha=args.alpha, c=args.c,
+        delta=args.delta, m=args.m, n_days=args.days, seed=args.seed,
+        logvar0=args.logvar0, s0=args.s0, substeps=args.substeps,
+    )
     log_var, log_price = simulate_fou_price(spec)
     for path, grid in ((args.out, log_price), (args.out_logvar, log_var)):
         if path:
@@ -289,23 +277,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_rv(args) -> int:
     _require_file(args.price)
-    try:
-        grid = read_grid_csv(args.price, kind="log_price")
-        rv = realized_variance(grid, args.m, args.delta)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    grid = read_grid_csv(args.price, kind="log_price")
+    rv = realized_variance(grid, args.m, args.delta)
     write_csv(args.out, [DATE_COLUMN, RV_COLUMN], enumerate(rv.values, start=1))
     return 0
 
 
 def _read_starts(path: str) -> list[tuple[float, float]]:
     _require_file(path)
-    try:
-        table = read_float_table(path, ("h", "nu"))
-    except IngestError as exc:
-        raise CliError(str(exc)) from None
+    table = read_float_table(path, ("h", "nu"))
     if not len(table):
-        raise CliError(f"{path}: no starts found")
+        raise ValueError(f"{path}: no starts found")
     return [(float(h), float(nu)) for h, nu in table]
 
 
@@ -313,10 +295,7 @@ def _cmd_estimate(args) -> int:
     box = _from_field_flags(ParamBox, args)
     config = _from_field_flags(SpectralConfig, args)
     rv, _report = _read_rv(args)
-    try:
-        y = log_rv_increments(rv)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    y = log_rv_increments(rv)
     starts = _read_starts(args.starts) if args.starts else None
     fit = estimate(y, box=box, starts=starts, config=config)
     header = ["h_hat", "nu_hat", "eta_hat", "objective", "converged"]
@@ -369,15 +348,12 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     if args.points < 2:
-        raise CliError("--points must be >= 2")
+        raise ValueError("--points must be >= 2")
     if not 0.0 < args.lambda_min < math.pi:
-        raise CliError("--lambda-min must be in (0, pi)")
+        raise ValueError("--lambda-min must be in (0, pi)")
     grid = np.exp(np.linspace(math.log(args.lambda_min), math.log(math.pi), args.points))
-    try:
-        f_vals = f_h_dense(grid, args.h, args.paxson_k)
-        g_vals = g_spectrum(grid, args.h, args.nu, args.m, args.paxson_k)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    f_vals = f_h_dense(grid, args.h, args.paxson_k)
+    g_vals = g_spectrum(grid, args.h, args.nu, args.m, args.paxson_k)
     write_csv(args.out, ["lambda", "f_h", "ell", "g"], zip(grid, f_vals, ell(grid), g_vals))
     return 0
 
@@ -390,7 +366,7 @@ def _parse_kv_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise CliError(f"{path}: line {lineno}: expected key = value")
+                raise ValueError(f"{path}: line {lineno}: expected key = value")
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
     return values
@@ -405,24 +381,19 @@ def _mc_config_from_args(args) -> McConfig:
         parsers = {key: parse for key, parse, _, _ in _MC_SETTINGS}
         for key, val in _parse_kv_file(args.config).items():
             if key not in parsers:
-                raise CliError(f"{args.config}: unknown key {key!r}")
+                raise ValueError(f"{args.config}: unknown key {key!r}")
             try:
                 fields[key] = parsers[key](val)
             except ValueError:
-                raise CliError(f"{args.config}: cannot parse {key} = {val!r}") from None
+                raise ValueError(f"{args.config}: cannot parse {key} = {val!r}") from None
     for key, _, flag, _ in _MC_SETTINGS:
         if flag is not None and getattr(args, flag) is not None:
             fields[key] = getattr(args, flag)
     fields["base_seed"] = args.seed
-    try:
-        return McConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc)) from None
+    return McConfig(**fields)
 
 
 def _cmd_mc(args) -> int:
-    if args.workers < 1:
-        raise CliError("--workers must be >= 1")
     config = _mc_config_from_args(args)
     report = run_mc_table(config, workers=args.workers, log=sys.stderr)
     header = ["h0", "eta0", "m", "n_paths", "n_converged", "n_failed",
@@ -444,8 +415,6 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_illusion(args) -> int:
-    if args.workers < 1:
-        raise CliError("--workers must be >= 1")
     frequencies = [int(x) for x in _parse_floats(args.frequencies)]
     rows = run_illusion_experiment(
         seed=args.seed, frequencies=frequencies, n_days=args.days,
@@ -503,18 +472,14 @@ _HANDLERS = {
 
 
 def dispatch(argv) -> int:
-    """Parse arguments and run one subcommand, mapping failures to exit codes."""
-    parser = build_parser()
+    """Parse arguments and run one subcommand, mapping failures to exit codes:
+    1 for a ``ValueError``, 2 for any other exception."""
     try:
-        args = parser.parse_args(argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return _HANDLERS[args.subcommand](args)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    try:
-        return _HANDLERS[args.subcommand](args)
-    except CliError as exc:
+    except ValueError as exc:  # bad flags or input, or an invariant violation
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -163,16 +163,24 @@ def _fit_one_path(config: McConfig, h0: float, eta0: float, m: int, path_index: 
     return (path_index, fit.h_hat, fit.eta_hat, None)
 
 
-def _fit_one_task(task):
-    config, h0, eta0, m, path_index = task
-    return (h0, eta0, m, _fit_one_path(config, h0, eta0, m, path_index))
+def _map(fn, tasks, workers: int, chunksize: int = 1) -> list:
+    """``[fn(*task) for task in tasks]``, in task order: in this process for
+    one worker, else in a pool of ``workers`` processes."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    columns = zip(*tasks)  # one sequence per argument of fn
+    if workers == 1:
+        return list(map(fn, *columns))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *columns, chunksize=chunksize))
 
 
 def run_mc_table(config: McConfig, workers: int = 1, log=None) -> McReport:
     """Simulate, proxy and estimate every (cell, path); aggregate per cell.
 
     The reduction is a deterministic fold over path indices, so serial and
-    parallel runs produce identical reports.
+    parallel runs produce identical reports. Raises ``ValueError`` for
+    ``workers < 1``.
     """
     tasks = [
         (config, h0, eta0, m, p)
@@ -180,22 +188,12 @@ def run_mc_table(config: McConfig, workers: int = 1, log=None) -> McReport:
         for p in range(config.n_paths)
     ]
     started = time.monotonic()
-    results: dict[tuple, list] = {cell: [None] * config.n_paths for cell in config.cells()}
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for h0, eta0, m, outcome in pool.map(_fit_one_task, tasks, chunksize=4):
-                results[(h0, eta0, m)][outcome[0]] = outcome
-    else:
-        for task in tasks:
-            h0, eta0, m, outcome = _fit_one_task(task)
-            results[(h0, eta0, m)][outcome[0]] = outcome
-
+    results = _map(_fit_one_path, tasks, workers, chunksize=4)
     total_time = time.monotonic() - started
     cells = []
-    for cell in config.cells():
+    for index, cell in enumerate(config.cells()):
         h0, eta0, m = cell
-        outcomes = results[cell]
+        outcomes = results[index * config.n_paths:(index + 1) * config.n_paths]
         h_vals = np.array([o[1] for o in outcomes if o[3] is None], dtype=float)
         eta_vals = np.array([o[2] for o in outcomes if o[3] is None], dtype=float)
         n_converged = len(h_vals)
@@ -245,10 +243,6 @@ def _illusion_one(seed: int, m: int, m_grid: int, n_days: int) -> IllusionRow:
                        whittle_h=fit.h_hat, whittle_eta=fit.eta_hat)
 
 
-def _illusion_task(task):
-    return _illusion_one(*task)
-
-
 def run_illusion_experiment(
     seed: int,
     frequencies=ILLUSION_FREQUENCIES,
@@ -258,9 +252,11 @@ def run_illusion_experiment(
     """One simulated smooth-volatility price path, analyzed at several
     realized-variance frequencies with both methods.
 
-    The path is simulated once on the finest grid and subsampled, so every
-    frequency sees the same prices. The regression exponent collapses as
-    sampling coarsens while the spectral estimate stays near 1/2.
+    Each frequency is one task that simulates the path from ``seed`` on the
+    finest grid and subsamples it, so every frequency sees the same prices
+    (the simulation is repeated per task, not shared). The regression
+    exponent collapses as sampling coarsens while the spectral estimate
+    stays near 1/2. Raises ``ValueError`` for ``workers < 1``.
     """
     frequencies = sorted(int(m) for m in frequencies)
     if not frequencies:
@@ -271,13 +267,7 @@ def run_illusion_experiment(
             raise ValueError(
                 f"every frequency must divide the finest one; {m} does not divide {m_grid}"
             )
-    tasks = [(seed, m, m_grid, n_days) for m in frequencies]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_illusion_task, tasks))
-    else:
-        rows = [_illusion_task(task) for task in tasks]
-    return rows
+    return _map(_illusion_one, [(seed, m, m_grid, n_days) for m in frequencies], workers)
 
 
 def run_zscore_experiment(m: int, n_days: int, seed: int) -> ZscoreResult:

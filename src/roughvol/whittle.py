@@ -32,6 +32,8 @@ from .spectral import (
 )
 
 _MAX_REFINEMENTS = 4
+# Lower end of the objective_oracle integral.
+_ORACLE_EPS = 1e-9
 _TRUNCATION_WARN_LEVEL = 1e-10
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -332,18 +334,18 @@ def objective_oracle(
     hurst: float,
     nu: float,
     config: SpectralConfig | None = None,
-    eps: float = 1e-9,
 ) -> float:
     """Brute-force evaluation of the full-interval objective.
 
-    Uses evenness to integrate (1/2pi) * (log g + I/g) over [eps, pi] on
-    dense graded panels, with the direct alias-sum density and no
-    low-frequency corrections. Slow; intended as a test reference.
+    Uses evenness to integrate (1/2pi) * (log g + I/g) over
+    [_ORACLE_EPS, pi] on dense graded panels, with the direct alias-sum
+    density and no low-frequency corrections. Slow; intended as a test
+    reference.
     """
     _validate_point(hurst, nu)
     config = config if config is not None else SpectralConfig()
-    breaks = [eps]
-    x = eps
+    breaks = [_ORACLE_EPS]
+    x = _ORACLE_EPS
     width_cap = 1.5 * TWO_PI / max(len(y), 8)
     while True:
         x = x + min(4.0 * x, width_cap)

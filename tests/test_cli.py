@@ -267,6 +267,45 @@ class TestMcCommand:
         assert run(["mc", "--config", cfg, "--seed", 1, "--out", tmp_path / "o.csv"]) == 1
 
 
+@pytest.fixture
+def rv300(tmp_path):
+    """A 300-day realized-variance file."""
+    path = tmp_path / "rv300.csv"
+    values = np.exp(np.random.default_rng(0).normal(-9.0, 0.5, 300))
+    rv.write_csv(path, ["date", "rv"], enumerate(values, start=1))
+    return path
+
+
+class TestExitCodes:
+    """A ValueError from anywhere in the package is bad input: exit 1."""
+
+    @pytest.mark.parametrize("command", [
+        "scaling --lags 1",
+        "scaling --lags 1:400",
+        "scaling --qs -1",
+        "zscore --m 0 --days 10",
+        "zscore --m 10 --days 0",
+        "illusion --frequencies 80,300",
+        "illusion --frequencies=",
+        "illusion --days 0",
+        "mc --m 0",
+    ])
+    def test_library_value_error_exits_one(self, command, rv300, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        required = {"scaling": ["--rv", rv300, "--out", out], "zscore": ["--seed", 1],
+                    "illusion": ["--seed", 1, "--out", out], "mc": ["--seed", 1, "--out", out]}
+        argv = command.split()
+        assert run(argv + required[argv[0]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and not err.startswith("error: ValueError")
+
+    @pytest.mark.parametrize("sub", [["mc"], ["illusion", "--days", 10]])
+    def test_zero_workers_rejected_by_the_library(self, sub, tmp_path, capsys):
+        code = run(sub + ["--seed", 1, "--workers", 0, "--out", tmp_path / "out.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: workers must be >= 1\n"
+
+
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory):
     inputs = tmp_path_factory.mktemp("inputs")

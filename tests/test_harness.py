@@ -84,6 +84,10 @@ class TestRunMcTable:
             bias.setdefault(cell.m, []).append(abs(cell.h_mean - cell.h0))
         assert np.mean(bias[160]) <= np.mean(bias[40]) + 0.01
 
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            rv.run_mc_table(small_config(), workers=0)
+
     def test_failure_accounting(self):
         # an unconvergeable setup must be counted, not raised
         config = small_config(n_paths=2, n_days=40)
@@ -96,6 +100,10 @@ class TestIllusionExperiment:
     def test_frequencies_must_divide(self):
         with pytest.raises(ValueError, match="divide"):
             rv.run_illusion_experiment(seed=1, frequencies=(80, 300), n_days=60)
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            rv.run_illusion_experiment(seed=1, frequencies=(8, 16), n_days=60, workers=0)
 
     def test_deterministic_rows(self):
         rows_a = rv.run_illusion_experiment(seed=5, frequencies=(8, 16), n_days=120)

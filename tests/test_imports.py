@@ -1,7 +1,9 @@
-"""Static checks on the package source: every import is used, and no
-module keeps state of its own between calls."""
+"""Static checks on the package source: every import is used, no module
+keeps state of its own between calls, and no handler only re-labels the
+exception it caught."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,27 @@ def test_detects_module_state():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_module_state(module):
     assert module_state(module.read_text()) == []
+
+
+def relabelling_handlers(source: str) -> list[str]:
+    """``except`` handlers whose only statement is
+    ``raise <Name>(str(<caught>)) from None``: they change the exception's
+    type and add nothing to its message."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.name and len(node.body) == 1:
+            statement = ast.unparse(node.body[0])
+            if re.fullmatch(rf"raise \w+\(str\({node.name}\)\) from None", statement):
+                found.append(f"{statement} (line {node.body[0].lineno})")
+    return found
+
+
+def test_detects_relabelling():
+    source = ("try:\n    f()\nexcept ValueError as exc:\n    raise InputError(str(exc)) from None\n"
+              "try:\n    g()\nexcept ValueError as exc:\n    raise InputError(f'g: {exc}') from None\n")
+    assert relabelling_handlers(source) == ["raise InputError(str(exc)) from None (line 4)"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_relabelling_handlers(module):
+    assert relabelling_handlers(module.read_text()) == []

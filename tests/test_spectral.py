@@ -195,6 +195,23 @@ class TestPeriodogram:
         via_fft = np.abs(np.fft.fft(y)) ** 2 / (TWO_PI * n)
         assert np.allclose(rv.periodogram(y, lam), via_fft, rtol=1e-8, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [500, 2500, 20_000])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_goertzel_matches_exact_sum(self, n, seed):
+        # The recurrence loses digits as lambda -> 0 and n grows; against a
+        # direct sum added exactly (math.fsum) it stays within 1e-7 relative,
+        # ten times the quadrature tolerance, down to lambda = 1e-5 at n = 2e4.
+        rng = np.random.default_rng(seed)
+        y = np.diff(np.cumsum(rng.standard_normal(n + 1)) + rng.standard_normal(n + 1))
+        lam = np.geomspace(1e-5, 3.0, 25)
+        t = np.arange(1, n + 1)
+        exact = np.array([
+            (math.fsum(y * np.cos(t * x)) ** 2 + math.fsum(y * np.sin(t * x)) ** 2) / (TWO_PI * n)
+            for x in lam
+        ])
+        assert np.max(np.abs(rv.periodogram(y, lam) - exact) / exact) < 1e-7
+
 
 class TestAutocovarianceHat:
     def test_lag_zero_is_mean_square(self):
