@@ -47,7 +47,7 @@ from .ingest import (
     write_csv,
 )
 from .proxy import log_rv_increments, realized_variance
-from .scaling import DEFAULT_LAGS, DEFAULT_QS, fit_scaling, structure_function
+from .scaling import DEFAULT_LAGS, DEFAULT_QS, fit_scaling
 from .spectral import SpectralConfig, ell, f_h_dense, g_spectrum
 from .whittle import ParamBox, estimate
 
@@ -66,19 +66,12 @@ def _require_file(path: str) -> str:
     return path
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"cannot parse comma-separated numbers from {text!r}") from None
-
-
 def _float_tuple(text: str) -> tuple:
-    return tuple(_parse_floats(text))
+    return tuple(float(part) for part in text.split(",") if part.strip() != "")
 
 
 def _int_tuple(text: str) -> tuple:
-    return tuple(int(x) for x in _parse_floats(text))
+    return tuple(int(x) for x in _float_tuple(text))
 
 
 def _show(value) -> str:
@@ -101,18 +94,12 @@ _MC_SETTINGS = (
 )
 
 
-def _parse_lags(text: str) -> list[int]:
+def _parse_lags(text: str) -> tuple:
     # accepts "1:50" ranges or comma lists
     if ":" in text:
         lo, _, hi = text.partition(":")
-        try:
-            return list(range(int(lo), int(hi) + 1))
-        except ValueError:
-            raise ValueError(f"cannot parse lag range {text!r}") from None
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"cannot parse lag list {text!r}") from None
+        return tuple(range(int(lo), int(hi) + 1))
+    return tuple(int(part) for part in text.split(",") if part.strip() != "")
 
 
 # Descriptions of the estimate flags generated from ParamBox and
@@ -204,8 +191,9 @@ def build_parser() -> _Parser:
                        help="structure-function regressions on realized volatility")
     _add_rv_flags(p)
     p.add_argument("--m", type=int, default=1, help="intraday count metadata" + _DEFAULT)
-    p.add_argument("--qs", default=_show(DEFAULT_QS), help="comma-separated moments" + _DEFAULT)
-    p.add_argument("--lags", default=f"{DEFAULT_LAGS[0]}:{DEFAULT_LAGS[-1]}",
+    p.add_argument("--qs", type=_float_tuple, default=_show(DEFAULT_QS),
+                   help="comma-separated moments" + _DEFAULT)
+    p.add_argument("--lags", type=_parse_lags, default=f"{DEFAULT_LAGS[0]}:{DEFAULT_LAGS[-1]}",
                    help="lag range lo:hi or comma list" + _DEFAULT)
     p.add_argument("--out", required=True, help="long-form (q,lag,log_lag,log_m) CSV output")
     p.add_argument("--summary-out", default=None, help="optional summary CSV path")
@@ -239,7 +227,7 @@ def build_parser() -> _Parser:
                        help="regression vs spectral estimates across RV frequencies "
                             "on one smooth-volatility path")
     p.add_argument("--seed", type=int, required=True, help="random seed (required)")
-    p.add_argument("--frequencies", default=_show(ILLUSION_FREQUENCIES),
+    p.add_argument("--frequencies", type=_int_tuple, default=_show(ILLUSION_FREQUENCIES),
                    help="comma list of intraday counts" + _DEFAULT)
     p.add_argument("--days", type=int, default=ILLUSION_N_DAYS, help="days to simulate" + _DEFAULT)
     p.add_argument("--workers", type=int, default=1, help="parallel workers" + _DEFAULT)
@@ -323,16 +311,14 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    qs = _parse_floats(args.qs)
-    lags = _parse_lags(args.lags)
     rv, _report = _read_rv(args)
     log_vol = 0.5 * np.log(rv.values)  # variance series in, volatility out
-    fit = fit_scaling(log_vol, qs=qs, lags=lags)
-    rows = []
-    for q in fit.qs:
-        for lag in fit.lags:
-            sf = structure_function(log_vol, float(q), int(lag))
-            rows.append((q, int(lag), math.log(lag), math.log(sf)))
+    fit = fit_scaling(log_vol, qs=args.qs, lags=args.lags)
+    rows = [
+        (q, int(lag), math.log(lag), math.log(sf))
+        for q, sf_row in zip(fit.qs, fit.structure_functions)
+        for lag, sf in zip(fit.lags, sf_row)
+    ]
     write_csv(args.out, ["q", "lag", "log_lag", "log_m"], rows)
 
     if args.summary_out:
@@ -415,9 +401,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_illusion(args) -> int:
-    frequencies = [int(x) for x in _parse_floats(args.frequencies)]
     rows = run_illusion_experiment(
-        seed=args.seed, frequencies=frequencies, n_days=args.days,
+        seed=args.seed, frequencies=args.frequencies, n_days=args.days,
         workers=args.workers,
     )
     write_csv(args.out, ["m", "scaling_h", "whittle_h", "whittle_eta"],

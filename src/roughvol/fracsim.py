@@ -2,8 +2,9 @@
 price simulation on a uniform grid.
 
 The noise generator uses circulant embedding of the increment covariance,
-which is exact in distribution and costs O(N log N); a Cholesky fallback
-guards against floating-point edge cases in the embedding eigenvalues.
+which is exact in distribution and costs O(N log N); an indefinite
+embedding (an eigenvalue below a small negative tolerance) raises
+SynthesisError.
 Log-variance follows a mean-reverting Euler recursion driven by the
 fractional noise, and the log-price accumulates conditionally Gaussian
 returns driven by an independent Brownian stream.
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.signal import lfilter
 
 # Fixed offsets deriving independent generator streams from one seed, so the
@@ -24,10 +24,9 @@ _FGN_STREAM = 0
 _VOL_STREAM = 1
 _PRICE_STREAM = 2
 
-# Embedding eigenvalues below this trigger the dense fallback; tiny negative
-# values above it are clipped to zero as floating-point noise.
+# Embedding eigenvalues below this make synthesis fail; tiny negative values
+# above it are clipped to zero as floating-point noise.
 _EIG_TOLERANCE = -1e-10
-_CHOLESKY_LIMIT = 8192
 
 # Simulation raises VolatilityOverflowError once |log variance| passes this.
 _LOGVAR_BOUND = 50.0
@@ -36,7 +35,7 @@ PATH_KINDS = ("log_price", "log_variance", "fgn")
 
 
 class SynthesisError(RuntimeError):
-    """Noise synthesis failed: embedding indefinite and no fallback applies."""
+    """Noise synthesis failed: the circulant embedding is indefinite."""
 
 
 class VolatilityOverflowError(RuntimeError):
@@ -174,7 +173,10 @@ def _fgn_unit_increments(hurst: float, n: int, rng: np.random.Generator) -> np.n
     """Draw n stationary fGn values with unit variance and exact covariance."""
     eig = _circulant_eigenvalues(hurst, n)
     if eig.min() < _EIG_TOLERANCE:
-        return _fgn_cholesky(hurst, n, rng, eig.min())
+        raise SynthesisError(
+            f"circulant embedding indefinite for hurst={hurst}, n={n}: "
+            f"min eigenvalue {eig.min():.3e}"
+        )
     lam = np.clip(eig, 0.0, None)
     m2 = 2 * n
     v = np.empty(m2, dtype=complex)
@@ -187,20 +189,6 @@ def _fgn_unit_increments(hurst: float, n: int, rng: np.random.Generator) -> np.n
         v[1:n] = inner
         v[n + 1 :] = np.conj(inner[::-1])
     return np.fft.fft(np.sqrt(lam) * v)[:n].real / np.sqrt(m2)
-
-
-def _fgn_cholesky(hurst: float, n: int, rng: np.random.Generator, worst: float) -> np.ndarray:
-    if n > _CHOLESKY_LIMIT:
-        raise SynthesisError(
-            f"circulant embedding indefinite (min eigenvalue {worst:.3e}) and "
-            f"n={n} exceeds the dense fallback limit {_CHOLESKY_LIMIT}"
-        )
-    cov = toeplitz(fgn_autocovariance(hurst, np.arange(n)))
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise SynthesisError("exact covariance is not positive definite") from exc
-    return chol @ rng.standard_normal(n)
 
 
 def simulate_fgn(spec: FgnSpec) -> GridPath:

@@ -23,22 +23,23 @@ DEFAULT_LAGS = tuple(range(1, 51))
 class ScalingFit:
     """Structure-function regression summary.
 
-    ``zeta``/``intercept_eta`` are the stage-one slope and intercept per q;
+    ``structure_functions`` holds the regressed moments, one row per q and
+    one column per lag; ``zeta`` is the stage-one slope per q;
     ``h_estimate`` is the origin-constrained stage-two slope, with the
     unconstrained variant kept as a diagnostic.
     """
 
     qs: np.ndarray
     lags: np.ndarray
+    structure_functions: np.ndarray
     zeta: np.ndarray
-    intercept_eta: np.ndarray
     h_estimate: float
     h_with_intercept: float
     r2_stage1: np.ndarray
     r2_stage2: float
 
     def __post_init__(self):
-        for name in ("qs", "lags", "zeta", "intercept_eta", "r2_stage1"):
+        for name in ("qs", "lags", "structure_functions", "zeta", "r2_stage1"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
 
@@ -94,10 +95,9 @@ def fit_scaling(log_vol, qs=DEFAULT_QS, lags=DEFAULT_LAGS) -> ScalingFit:
 
     log_lag = np.log(lags_arr.astype(float))
     zeta = np.empty(len(qs_arr))
-    eta_q = np.empty(len(qs_arr))
     r2_1 = np.empty(len(qs_arr))
     for i in range(len(qs_arr)):
-        zeta[i], eta_q[i], r2_1[i] = _ols_line(log_lag, np.log(sf[i]))
+        zeta[i], _, r2_1[i] = _ols_line(log_lag, np.log(sf[i]))
 
     h_origin = float(zeta @ qs_arr / (qs_arr @ qs_arr))
     fitted = h_origin * qs_arr
@@ -112,8 +112,8 @@ def fit_scaling(log_vol, qs=DEFAULT_QS, lags=DEFAULT_LAGS) -> ScalingFit:
     return ScalingFit(
         qs=qs_arr,
         lags=lags_arr,
+        structure_functions=sf,
         zeta=zeta,
-        intercept_eta=eta_q,
         h_estimate=h_origin,
         h_with_intercept=h_free,
         r2_stage1=r2_1,

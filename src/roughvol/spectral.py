@@ -117,8 +117,7 @@ def _alias_series(lam1: np.ndarray, k_cut: int, exponent: float) -> np.ndarray:
 def _density(lam, hurst: float, paxson_k: int, alias_sum):
     """Validation and assembly shared by :func:`f_h` and :func:`f_h_dense`,
     which differ only in how ``alias_sum`` evaluates the truncated sum."""
-    if not 0.0 < hurst <= 1.0:
-        raise ValueError(f"hurst must be in (0, 1], got {hurst}")
+    scale = c_h(hurst)  # also validates hurst
     if paxson_k < 1:
         raise ValueError("paxson_k must be >= 1")
     scalar = np.isscalar(lam) or np.ndim(lam) == 0
@@ -137,7 +136,7 @@ def _density(lam, hurst: float, paxson_k: int, alias_sum):
     # (2(1-cos))^2 * |lam|^(-3-2H) rewritten as ratio^2 * |lam|^(1-2H) so the
     # origin is approached without overflow; 0**0 = 1 covers hurst = 1/2.
     ratio2 = _cos_deficit_ratio(lam1) ** 2
-    out = c_h(hurst) * ratio2 * (lam1 ** (1.0 - 2.0 * hurst) + lam1**4 * alias)
+    out = scale * ratio2 * (lam1 ** (1.0 - 2.0 * hurst) + lam1**4 * alias)
     return float(out[0]) if scalar else out.reshape(np.shape(lam))
 
 
@@ -193,9 +192,8 @@ def periodogram(y, lam):
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
 
     two_cos = 2.0 * np.cos(lam_arr)
-    dtype = complex if np.iscomplexobj(y) else float
-    s_prev = np.zeros(lam_arr.shape, dtype=dtype)
-    s_prev2 = np.zeros(lam_arr.shape, dtype=dtype)
+    s_prev = np.zeros(lam_arr.shape)
+    s_prev2 = np.zeros(lam_arr.shape)
     for y_t in y:
         s = y_t + two_cos * s_prev - s_prev2
         s_prev2 = s_prev

@@ -109,37 +109,11 @@ def _validate_point(hurst: float, nu: float) -> None:
         raise ValueError("nu must be positive")
 
 
-def _reciprocal_g_mass(hurst: float, nu: float, psi: float, m: int) -> float:
-    # Leading-order integral of 1/g over (0, psi], used by the warning bound.
-    denom = nu * nu * c_h(hurst)
-    first = psi ** (2.0 * hurst) / (2.0 * hurst)
-    second = psi ** (1.0 + 4.0 * hurst) / (denom * m * math.pi * (1.0 + 4.0 * hurst))
-    return max(first - second, 0.0) / denom
-
-
-def _truncation_bound(
-    hurst: float, nu: float, psi: float, taylor_j: int, m: int, tau_max: int
-) -> float:
-    """Bound on the cosine-series truncation error, uniform in tau <= tau_max."""
-    x = tau_max * psi
-    if x <= 0.0:
-        return 0.0
-    log_lead = (2 * taylor_j + 1) * math.log(x) - math.lgamma(2 * taylor_j + 2)
-    return math.exp(log_lead) * 0.5 * _reciprocal_g_mass(hurst, nu, psi, m)
-
-
-def _warn_if_truncated(
-    hurst: float, nu: float, psi: float, taylor_j: int, m: int, tau_max: int
-) -> None:
-    bound = _truncation_bound(hurst, nu, psi, taylor_j, m, tau_max)
-    if bound > _TRUNCATION_WARN_LEVEL:
-        warnings.warn(
-            f"low-frequency series truncated at {taylor_j} terms has error "
-            f"bound {bound:.3e} for lags up to {tau_max}; increase taylor_j "
-            "or decrease psi",
-            AccuracyWarning,
-            stacklevel=3,
-        )
+def _validate_cut(psi: float, m: int) -> None:
+    if not 0.0 < psi <= math.pi:
+        raise ValueError("psi must be in (0, pi]")
+    if m < 1:
+        raise ValueError("m must be >= 1")
 
 
 def _a_values(
@@ -150,7 +124,8 @@ def _a_values(
     Each value approximates (1/2pi) * integral_0^psi cos(tau * lam) / g(lam)
     dlam through the expansion of 1/g near zero, summed to ``taylor_j``
     cosine terms. Powers are grouped as (tau*psi)^(2j) so large lags cannot
-    overflow.
+    overflow. Warns with :class:`AccuracyWarning` when the truncation error
+    bound, uniform in tau <= max(taus), exceeds ``_TRUNCATION_WARN_LEVEL``.
     """
     denom = nu * nu * c_h(hurst)
     j = np.arange(taylor_j + 1, dtype=float)
@@ -158,6 +133,19 @@ def _a_values(
     bracket -= psi ** (1.0 + 4.0 * hurst) / (
         denom * m * math.pi * (1.0 + 2.0 * j + 4.0 * hurst)
     )
+    tau_max = float(np.max(taus))
+    if tau_max > 0.0:
+        # The first omitted term times half the leading-order mass of 1/g.
+        log_lead = (2 * taylor_j + 1) * math.log(tau_max * psi) - math.lgamma(2 * taylor_j + 2)
+        bound = math.exp(log_lead) * 0.5 * (max(float(bracket[0]), 0.0) / denom)
+        if bound > _TRUNCATION_WARN_LEVEL:
+            warnings.warn(
+                f"low-frequency series truncated at {taylor_j} terms has error "
+                f"bound {bound:.3e} for lags up to {int(tau_max)}; increase taylor_j "
+                "or decrease psi",
+                AccuracyWarning,
+                stacklevel=3,
+            )
     x = (taus * psi) ** 2
     out = np.zeros_like(x)
     power = np.ones_like(x)  # (-1)^j (tau psi)^(2j) / (2j)!
@@ -173,15 +161,11 @@ def a_coefficient(
 ) -> float:
     """Single low-frequency weight for lag ``tau``; see :func:`_a_values`."""
     _validate_point(hurst, nu)
-    if not 0.0 < psi <= math.pi:
-        raise ValueError("psi must be in (0, pi]")
+    _validate_cut(psi, m)
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if taylor_j < 0:
         raise ValueError("taylor_j must be >= 0")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    _warn_if_truncated(hurst, nu, psi, taylor_j, m, tau)
     return float(_a_values(hurst, nu, np.asarray([float(tau)]), psi, taylor_j, m)[0])
 
 
@@ -192,10 +176,7 @@ def correction_a1(hurst: float, nu: float, psi: float, m: int) -> float:
     at hurst = 1/2 where the log-frequency slope changes sign.
     """
     _validate_point(hurst, nu)
-    if not 0.0 < psi <= math.pi:
-        raise ValueError("psi must be in (0, pi]")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _validate_cut(psi, m)
     denom = nu * nu * c_h(hurst)
     total = psi * math.log(denom)
     total += psi * (math.log(psi) - 1.0) * (1.0 - 2.0 * hurst)
@@ -209,25 +190,27 @@ def correction_a2(
     """Weighted autocovariance sum approximating (1/2pi) *
     integral_0^psi I_n(lam)/g(lam) dlam."""
     _validate_point(hurst, nu)
+    _validate_cut(psi, m)
+    if taylor_j < 0:
+        raise ValueError("taylor_j must be >= 0")
     gamma_hat = np.asarray(gamma_hat, dtype=float)
     if gamma_hat.ndim != 1 or len(gamma_hat) < 1:
         raise ValueError("gamma_hat must be a nonempty 1-d sequence")
     n = len(gamma_hat)
-    _warn_if_truncated(hurst, nu, psi, taylor_j, m, n - 1)
     weights = _a_values(hurst, nu, np.arange(n, dtype=float), psi, taylor_j, m)
     total = weights[0] * gamma_hat[0] + 2.0 * float(weights[1:] @ gamma_hat[1:])
     return total / TWO_PI
 
 
-def _panel_breakpoints(lo: float, hi: float, n_osc: int) -> np.ndarray:
-    """Quadrature panels on [lo, hi]: geometric growth away from the steep
-    left endpoint, then uniform panels narrow enough to resolve the fastest
+def _panel_breakpoints(lo: float, hi: float, growth: float, width_cap: float) -> np.ndarray:
+    """Quadrature panels on [lo, hi]: each panel ``growth`` times its left
+    end wide, grading away from the steep left endpoint, until the width
+    reaches ``width_cap``, which callers size to resolve the fastest
     periodogram oscillation cos(n * lam)."""
-    width_cap = min((hi - lo) / 16.0, 2.0 * TWO_PI / max(n_osc, 8))
     points = [lo]
     x = lo
     while True:
-        x = x + min(2.0 * x, width_cap)
+        x = x + min(growth * x, width_cap)
         if x >= hi * (1.0 - 1e-12):
             break
         points.append(x)
@@ -268,7 +251,9 @@ class WhittleObjective:
         self.m = y.m
         self.delta = y.delta
         self.gamma_hat = autocovariance_hat(self.y)
-        self._breaks = _panel_breakpoints(self.config.psi, math.pi, self.n)
+        psi = self.config.psi
+        width_cap = min((math.pi - psi) / 16.0, 2.0 * TWO_PI / max(self.n, 8))
+        self._breaks = _panel_breakpoints(psi, math.pi, 2.0, width_cap)
         self._levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _level(self, level: int):
@@ -344,18 +329,8 @@ def objective_oracle(
     """
     _validate_point(hurst, nu)
     config = config if config is not None else SpectralConfig()
-    breaks = [_ORACLE_EPS]
-    x = _ORACLE_EPS
-    width_cap = 1.5 * TWO_PI / max(len(y), 8)
-    while True:
-        x = x + min(4.0 * x, width_cap)
-        if x >= math.pi * (1.0 - 1e-12):
-            break
-        breaks.append(x)
-    breaks.append(math.pi)
-    nodes, weights = _gauss_panels(
-        np.asarray(breaks), 1, _GL24_NODES, _GL24_WEIGHTS
-    )
+    breaks = _panel_breakpoints(_ORACLE_EPS, math.pi, 4.0, 1.5 * TWO_PI / max(len(y), 8))
+    nodes, weights = _gauss_panels(breaks, 1, _GL24_NODES, _GL24_WEIGHTS)
     g = nu * nu * f_h(nodes, hurst, config.paxson_k) + (2.0 / y.m) * ell(nodes)
     i_vals = periodogram(y.y, nodes)
     return float(weights @ (np.log(g) + i_vals / g)) / TWO_PI

@@ -299,6 +299,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and not err.startswith("error: ValueError")
 
+    @pytest.mark.parametrize("command", [
+        "scaling --qs 0.5,abc",
+        "scaling --lags 1:x",
+        "scaling --lags 1,x",
+        "illusion --frequencies abc",
+    ])
+    def test_malformed_list_flag_exits_one(self, command, rv300, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        required = {"scaling": ["--rv", rv300, "--out", out],
+                    "illusion": ["--seed", 1, "--out", out]}
+        sub, flag, value = command.split()
+        assert run([sub, flag, value] + required[sub]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flag}: invalid ")
+        assert err.endswith(f" value: '{value}'\n")
+        assert not out.exists()
+
+    def test_all_starts_failed_exits_two(self, rv300, tmp_path, capsys):
+        starts = tmp_path / "starts.csv"
+        starts.write_text("h,nu\n0.1,0.5\n0.3,0.5\n")
+        code = run(["estimate", "--rv", rv300, "--m", 80, "--starts", starts,
+                    "--quad-rel-tol", 1e-300, "--quad-abs-tol", 1e-300])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert lines[0] == ("error: AllStartsFailedError: "
+                            "no optimizer start produced a finite minimum:")
+        assert [line.partition(":")[0] for line in lines[1:]] == [
+            "  start (0.1, 0.5)", "  start (0.3, 0.5)"]
+
     @pytest.mark.parametrize("sub", [["mc"], ["illusion", "--days", 10]])
     def test_zero_workers_rejected_by_the_library(self, sub, tmp_path, capsys):
         code = run(sub + ["--seed", 1, "--workers", 0, "--out", tmp_path / "out.csv"])

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughvol as rv
-from roughvol.fracsim import GridPath, _fgn_unit_increments
+from roughvol import fracsim
+from roughvol.fracsim import (
+    _EIG_TOLERANCE,
+    GridPath,
+    _circulant_eigenvalues,
+    _fgn_unit_increments,
+)
 
 
 class TestFgnAutocovariance:
@@ -107,6 +113,28 @@ class TestSimulateFgn:
                 assert mean_acf[lag] == pytest.approx(
                     rv.fgn_autocovariance(hurst, lag), abs=0.02
                 )
+
+
+# Hurst values and sizes over which the circulant embedding was scanned:
+# small n, the sizes around powers of two, and up to 8192 steps.
+EMBEDDING_HURSTS = (0.001, 0.01, 0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75,
+                    0.8, 0.9, 0.95, 0.99, 0.999, 1.0)
+EMBEDDING_SIZES = (*range(1, 130), 255, 256, 257, 1000, 1023, 4096, 8191, 8192)
+
+
+class TestCirculantEmbedding:
+    @pytest.mark.parametrize("hurst", EMBEDDING_HURSTS)
+    def test_embedding_nonnegative_up_to_tolerance(self, hurst):
+        worst = min(_circulant_eigenvalues(hurst, n).min() for n in EMBEDDING_SIZES)
+        assert worst >= _EIG_TOLERANCE
+
+    def test_indefinite_embedding_raises(self, monkeypatch):
+        eig = np.ones(2 * 64)
+        eig[3] = -1e-3
+        monkeypatch.setattr(fracsim, "_circulant_eigenvalues", lambda hurst, n: eig)
+        message = r"hurst=0\.3, n=64: min eigenvalue -1\.000e-03"
+        with pytest.raises(rv.SynthesisError, match=message):
+            rv.simulate_fgn(rv.FgnSpec(hurst=0.3, n_steps=64, dt=1.0, seed=1))
 
 
 class TestSimulateFouPrice:

@@ -7,11 +7,14 @@ the acceptance suite.
 """
 
 import dataclasses
+import io
+import math
 
 import numpy as np
 import pytest
 
 import roughvol as rv
+from roughvol import harness
 
 
 def small_config(**overrides):
@@ -94,6 +97,30 @@ class TestRunMcTable:
         report = rv.run_mc_table(config)
         cell = report.cells[0]
         assert cell.n_converged + cell.n_failed == 2
+
+    def test_failed_paths_counted_and_logged(self, monkeypatch):
+        # path 0 raises, path 1 returns an unconverged fit
+        unconverged = rv.WhittleFit(h_hat=0.1, nu_hat=0.5, eta_hat=1.0, objective=0.0,
+                                    n_starts=1, converged=False, start_used=(0.1, 0.5),
+                                    delta=1.0 / 250.0, m=40)
+        outcomes = iter([RuntimeError("boom"), unconverged])
+
+        def fake_estimate(y, **kwargs):
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(harness, "estimate", fake_estimate)
+        log = io.StringIO()
+        report = rv.run_mc_table(small_config(n_paths=2, n_days=40), workers=1, log=log)
+        cell = report.cells[0]
+        assert (cell.n_converged, cell.n_failed, cell.failed) == (0, 2, True)
+        assert math.isnan(cell.h_mean)
+        assert log.getvalue().splitlines() == [
+            "cell (0.1, 1.0, 40) path 0: RuntimeError: boom",
+            "cell (0.1, 1.0, 40) path 1: not converged",
+        ]
 
 
 class TestIllusionExperiment:

@@ -1,6 +1,6 @@
 """Static checks on the package source: every import is used, no module
-keeps state of its own between calls, and no handler only re-labels the
-exception it caught."""
+keeps state of its own between calls, no handler only re-labels the
+exception it caught, and every private top-level name is used."""
 
 import ast
 import re
@@ -99,3 +99,51 @@ def test_detects_relabelling():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_relabelling_handlers(module):
     assert relabelling_handlers(module.read_text()) == []
+
+
+def unreferenced_private_names(sources: dict) -> list[str]:
+    """Top-level ``_name`` functions, classes and constants that no source
+    in ``sources`` (module name -> text) reads, imports or accesses as an
+    attribute."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for statement in tree.body:
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = (statement.targets if isinstance(statement, ast.Assign)
+                           else [statement.target])
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, statement.lineno) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [f"{module}: {name} (line {line})" for module, name, line in defined
+            if name not in used]
+
+
+def test_detects_unreferenced_private_names():
+    sources = {
+        "a": ("import b\n_LIMIT = 8\n_A, _B = 1, 2\n__all__ = []\n"
+              "def _fallback():\n    return _LIMIT\n"
+              "def _shared():\n    pass\n"
+              "class _Unused:\n    pass\n"
+              "def public():\n    return b._helper() + _A\n"),
+        "b": "from a import _shared\ndef _helper():\n    return 3\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        "a: _B (line 3)", "a: _fallback (line 5)", "a: _Unused (line 9)"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []

@@ -78,6 +78,14 @@ class TestFitScaling:
         scrambled = rv.fit_scaling(x, qs=(1.0, 2.0), lags=(25, 5, 1, 10, 2))
         assert np.allclose(forward.zeta, scrambled.zeta)
 
+    def test_carries_the_regressed_structure_functions(self):
+        x = exact_fbm_log_vol(0.4, 2000, seed=5)
+        fit = rv.fit_scaling(x, qs=(0.5, 2.0), lags=(7, 1, 3))
+        assert fit.structure_functions.shape == (2, 3)
+        for i, q in enumerate((0.5, 2.0)):
+            for j, lag in enumerate((1, 3, 7)):
+                assert fit.structure_functions[i, j] == rv.structure_function(x, q, lag)
+
     def test_monofractal_slope_doubling(self):
         x = exact_fbm_log_vol(0.3, 100_000, seed=21)
         fit = rv.fit_scaling(x, qs=(1.0, 2.0), lags=range(1, 30))

@@ -134,6 +134,17 @@ class TestCorrectionA2:
         got = rv.correction_a2(0.2, 1.1, CFG.psi, CFG.taylor_j, 80, gamma)
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("psi,taylor_j,m,message", [
+        (0.0, 20, 80, "psi must be in"),
+        (4.0, 20, 80, "psi must be in"),
+        (-1e-5, 20, 80, "psi must be in"),
+        (1e-5, 20, 0, "m must be >= 1"),
+        (1e-5, -1, 80, "taylor_j must be >= 0"),
+    ])
+    def test_rejects_bad_inputs(self, psi, taylor_j, m, message):
+        with pytest.raises(ValueError, match=message):
+            rv.correction_a2(0.3, 1.0, psi, taylor_j, m, np.ones(16))
+
     @pytest.mark.parametrize("hurst,nu", [(0.05, 2.0), (0.1, 1.0), (0.3, 0.5), (0.7, 2.0)])
     def test_matches_quadrature(self, hurst, nu):
         y = np.random.default_rng(31).standard_normal(128) * 0.1
