@@ -44,6 +44,7 @@ from .proxy import (
 )
 from .scaling import ScalingFit, fit_scaling, structure_function
 from .spectral import (
+    DenseNodes,
     SpectralConfig,
     autocovariance_hat,
     c_h,

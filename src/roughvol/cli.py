@@ -71,7 +71,10 @@ def _float_tuple(text: str) -> tuple:
 
 
 def _int_tuple(text: str) -> tuple:
-    return tuple(int(x) for x in _float_tuple(text))
+    values = _float_tuple(text)
+    if not all(x.is_integer() for x in values):
+        raise ValueError(f"not a comma list of integers: {text!r}")
+    return tuple(int(x) for x in values)
 
 
 def _show(value) -> str:

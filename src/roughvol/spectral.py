@@ -5,6 +5,13 @@ fractional-noise increments (an alias sum truncated with a Paxson-style
 tail correction) with a differenced measurement-noise floor ``ell``
 weighted by 2/m. The periodogram follows the t = 1..n index convention
 and is evaluated at arbitrary frequencies by a Goertzel recurrence.
+
+The production density :func:`f_h_dense` works on a :class:`DenseNodes`,
+a node set that holds everything the density needs that does not depend
+on hurst; a caller that evaluates many hurst values on one grid (the
+objective's quadrature levels) builds it once, and a plain array of
+frequencies gets a node set built per call. :func:`f_h` sums the alias
+series directly and is the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -70,74 +77,93 @@ def _cos_deficit_ratio(lam: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
-def _paxson_tail(lam1: np.ndarray, k_cut: int, exponent: float) -> np.ndarray:
-    """Trapezoid-style correction for the truncated alias sum: half the sum
-    of the exact integral tails started at k_cut and k_cut + 1."""
-    s2 = exponent - 1.0  # tail integrals have exponent -(2+2H)
-    scale = 1.0 / (TWO_PI * s2)
-    d2_k = (TWO_PI * k_cut + lam1) ** (-s2) + (TWO_PI * k_cut - lam1) ** (-s2)
-    d2_k1 = (TWO_PI * (k_cut + 1) + lam1) ** (-s2) + (TWO_PI * (k_cut + 1) - lam1) ** (-s2)
-    return 0.5 * scale * (d2_k + d2_k1)
-
-
 def _alias_direct(lam1: np.ndarray, k_cut: int, exponent: float) -> np.ndarray:
-    """sum_{k=1}^{K} (2 pi k + lambda)^(-s) + (2 pi k - lambda)^(-s), term by term."""
+    """sum_{k=1}^{K} (2 pi k + lambda)^(-s) + (2 pi k - lambda)^(-s), term by
+    term, plus the trapezoid-style tail: half the sum of the exact integral
+    tails started at k_cut and k_cut + 1."""
     k = np.arange(1, k_cut + 1, dtype=float)[:, None]
     alias = ((TWO_PI * k + lam1) ** (-exponent)).sum(axis=0)
     alias += ((TWO_PI * k - lam1) ** (-exponent)).sum(axis=0)
-    return alias
+    s2 = exponent - 1.0  # tail integrals have exponent -(2+2H)
+    d2_k = (TWO_PI * k_cut + lam1) ** (-s2) + (TWO_PI * k_cut - lam1) ** (-s2)
+    d2_k1 = (TWO_PI * (k_cut + 1) + lam1) ** (-s2) + (TWO_PI * (k_cut + 1) - lam1) ** (-s2)
+    return alias + 0.5 * (1.0 / (TWO_PI * s2)) * (d2_k + d2_k1)
 
 
-# Number of even-power terms in the exact binomial rearrangement below;
-# enough for machine precision at |lambda|/(2 pi) <= 1/2.
+# Number of even-power terms in the exact binomial rearrangement of
+# DenseNodes; enough for machine precision at |lambda|/(2 pi) <= 1/2.
 _SERIES_TERMS = 40
+_TWO_I = 2.0 * np.arange(_SERIES_TERMS, dtype=float)
 
 
-def _alias_series(lam1: np.ndarray, k_cut: int, exponent: float) -> np.ndarray:
-    """The same truncated sum rearranged exactly as an even power series in
-    lambda / (2 pi) whose coefficients involve partial zeta sums over
-    k = 1..K, turning K x len(lambda) work into ~40 fused polynomial terms."""
-    i = np.arange(_SERIES_TERMS, dtype=float)
-    # (1+u)^(-s) + (1-u)^(-s) = 2 sum_i binom(s+2i-1, 2i) u^(2i), |u| < 1
-    log_coef = gammaln(exponent + 2.0 * i) - gammaln(2.0 * i + 1.0) - gammaln(exponent)
-    coef = np.exp(log_coef)
-    k = np.arange(1, k_cut + 1, dtype=float)[:, None]
-    zeta_partial = (k ** (-(exponent + 2.0 * i))).sum(axis=0)
+class DenseNodes:
+    """A fixed frequency grid holding every part of the density that does
+    not depend on hurst.
 
-    u2 = (lam1 / TWO_PI) ** 2
-    alias = np.zeros_like(lam1)
-    power = np.ones_like(lam1)
-    for ci, zi in zip(coef, zeta_partial):
-        alias += ci * zi * power
-        power *= u2
-    alias *= 2.0 * TWO_PI ** (-exponent)
-    return alias
+    The truncated alias sum is rearranged exactly as an even power series
+    in u = lambda / (2 pi): (1+u)^(-s) + (1-u)^(-s) = 2 sum_i
+    binom(s+2i-1, 2i) u^(2i) for |u| < 1, whose coefficients involve
+    partial zeta sums over k = 1..K. The grid keeps |lambda|, the
+    cos-deficit factor ratio^2 and lambda^4, the 40 x N powers u^(2i), log k
+    and the K x 40 powers k^(-2i) of the zeta sums, and the logs of the
+    four Paxson tail bases 2 pi K +- lambda and 2 pi (K+1) +- lambda. One
+    density evaluation is then 40 ``gammaln`` coefficients, one
+    K-vector-matrix product, one 40-vector-matrix product, 4N ``exp`` and
+    one power |lambda|^(1-2H). Build one per grid and pass it to
+    :func:`f_h_dense` in place of the frequencies.
+    """
+
+    def __init__(self, lam, paxson_k: int = SpectralConfig.paxson_k):
+        if paxson_k < 1:
+            raise ValueError("paxson_k must be >= 1")
+        lam1 = np.abs(np.asarray(lam, dtype=float)).reshape(-1)
+        if np.any(lam1 > math.pi * (1.0 + 1e-12)):
+            raise ValueError("lambda must lie in [-pi, pi]")
+        self.paxson_k = paxson_k
+        self.shape = np.shape(lam)
+        self.lam1 = lam1
+        self.at_origin = bool(np.any(lam1 == 0.0))
+        self.ratio2 = _cos_deficit_ratio(lam1) ** 2
+        self.lam4 = lam1**4
+        u2 = (lam1 / TWO_PI) ** 2
+        self.u_powers = np.empty((_SERIES_TERMS, lam1.size))
+        self.u_powers[0] = 1.0
+        for i in range(1, _SERIES_TERMS):
+            np.multiply(self.u_powers[i - 1], u2, out=self.u_powers[i])
+        k = np.arange(1, paxson_k + 1, dtype=float)
+        self.log_k = np.log(k)
+        self.k_powers = k[:, None] ** (-_TWO_I)
+        bases = TWO_PI * np.array([paxson_k, paxson_k, paxson_k + 1, paxson_k + 1])
+        signs = np.array([1.0, -1.0, 1.0, -1.0])
+        self.tail_logs = np.log(bases[:, None] + signs[:, None] * lam1)
+
+    def alias_sum(self, exponent: float) -> np.ndarray:
+        """The truncated alias sum at ``exponent`` = 3 + 2H plus its
+        trapezoid-style tail, from the stored powers and logs."""
+        log_coef = gammaln(exponent + _TWO_I) - gammaln(_TWO_I + 1.0) - gammaln(exponent)
+        zeta_partial = np.exp(-exponent * self.log_k) @ self.k_powers
+        alias = (np.exp(log_coef) * zeta_partial) @ self.u_powers
+        alias *= 2.0 * TWO_PI ** (-exponent)
+        s2 = exponent - 1.0  # tail integrals have exponent -(2+2H)
+        tail = np.exp(-s2 * self.tail_logs)
+        alias += 0.5 * (1.0 / (TWO_PI * s2)) * ((tail[0] + tail[1]) + (tail[2] + tail[3]))
+        return alias
 
 
-def _density(lam, hurst: float, paxson_k: int, alias_sum):
+def _density(nodes: DenseNodes, hurst: float, alias_sum):
     """Validation and assembly shared by :func:`f_h` and :func:`f_h_dense`,
-    which differ only in how ``alias_sum`` evaluates the truncated sum."""
+    which differ only in how ``alias_sum(exponent)`` evaluates the truncated
+    sum and its tail."""
     scale = c_h(hurst)  # also validates hurst
-    if paxson_k < 1:
-        raise ValueError("paxson_k must be >= 1")
-    scalar = np.isscalar(lam) or np.ndim(lam) == 0
-    lam1 = np.abs(np.atleast_1d(np.asarray(lam, dtype=float)))
-    if np.any(lam1 > math.pi * (1.0 + 1e-12)):
-        raise ValueError("lambda must lie in [-pi, pi]")
-    if hurst > 0.5 and np.any(lam1 == 0.0):
+    if hurst > 0.5 and nodes.at_origin:
         raise ValueError(
             "f_h diverges at lambda = 0 for hurst > 1/2; exclude the origin"
         )
-
-    exponent = 3.0 + 2.0 * hurst
-    alias = alias_sum(lam1, paxson_k, exponent)
-    alias += _paxson_tail(lam1, paxson_k, exponent)
-
+    alias = alias_sum(3.0 + 2.0 * hurst)
     # (2(1-cos))^2 * |lam|^(-3-2H) rewritten as ratio^2 * |lam|^(1-2H) so the
     # origin is approached without overflow; 0**0 = 1 covers hurst = 1/2.
-    ratio2 = _cos_deficit_ratio(lam1) ** 2
-    out = scale * ratio2 * (lam1 ** (1.0 - 2.0 * hurst) + lam1**4 * alias)
-    return float(out[0]) if scalar else out.reshape(np.shape(lam))
+    out = scale * nodes.ratio2 * (nodes.lam1 ** (1.0 - 2.0 * hurst) + nodes.lam4 * alias)
+    return float(out[0]) if nodes.shape == () else out.reshape(nodes.shape)
 
 
 def f_h(lam, hurst: float, paxson_k: int = SpectralConfig.paxson_k):
@@ -155,17 +181,25 @@ def f_h(lam, hurst: float, paxson_k: int = SpectralConfig.paxson_k):
     Sums the K x len(lambda) terms directly: the reference that
     :func:`objective_oracle` and the tests hold :func:`f_h_dense` to.
     """
-    return _density(lam, hurst, paxson_k, _alias_direct)
+    nodes = DenseNodes(lam, paxson_k)
+    return _density(nodes, hurst, lambda s: _alias_direct(nodes.lam1, paxson_k, s))
 
 
 def f_h_dense(lam, hurst: float, paxson_k: int = SpectralConfig.paxson_k):
     """Same value as :func:`f_h`, optimized for large frequency grids.
 
-    The production density: the truncated alias sum is evaluated as an
-    exact power-series rearrangement. Agrees with the direct form to
-    roundoff.
+    The production density. ``lam`` is either the frequencies or a
+    :class:`DenseNodes` built from them with the same ``paxson_k``; given
+    frequencies, the node set is built here. Callers that evaluate many
+    hurst values on one grid build the node set once, so each call does
+    only the hurst-dependent work. Agrees with the direct form to roundoff.
     """
-    return _density(lam, hurst, paxson_k, _alias_series)
+    nodes = lam if isinstance(lam, DenseNodes) else DenseNodes(lam, paxson_k)
+    if nodes.paxson_k != paxson_k:
+        raise ValueError(
+            f"node set was built with paxson_k={nodes.paxson_k}, not {paxson_k}"
+        )
+    return _density(nodes, hurst, nodes.alias_sum)
 
 
 def g_spectrum(lam, hurst: float, nu: float, m: int,

@@ -22,6 +22,7 @@ from scipy.optimize import minimize
 from .proxy import LogRvIncrements
 from .spectral import (
     TWO_PI,
+    DenseNodes,
     SpectralConfig,
     autocovariance_hat,
     c_h,
@@ -116,24 +117,48 @@ def _validate_cut(psi: float, m: int) -> None:
         raise ValueError("m must be >= 1")
 
 
-def _a_values(
-    hurst: float, nu: float, taus: np.ndarray, psi: float, taylor_j: int, m: int
-) -> np.ndarray:
-    """Low-frequency cosine-transform weights for all requested lags.
+def _lag_moments(taus: np.ndarray, weights: np.ndarray, psi: float, taylor_j: int) -> np.ndarray:
+    """M_j = sum_tau w_tau (-1)^j (tau psi)^(2j) / (2j)!, j = 0..taylor_j: the
+    part of the weighted low-frequency sum that does not depend on (hurst, nu).
 
-    Each value approximates (1/2pi) * integral_0^psi cos(tau * lam) / g(lam)
-    dlam through the expansion of 1/g near zero, summed to ``taylor_j``
-    cosine terms. Powers are grouped as (tau*psi)^(2j) so large lags cannot
-    overflow. Warns with :class:`AccuracyWarning` when the truncation error
-    bound, uniform in tau <= max(taus), exceeds ``_TRUNCATION_WARN_LEVEL``.
+    Powers are grouped as (tau*psi)^(2j) / (2j)! so large lags cannot overflow.
     """
+    x = (taus * psi) ** 2
+    moments = np.empty(taylor_j + 1)
+    power = np.ones_like(x)  # (-1)^j (tau psi)^(2j) / (2j)!
+    for jj in range(taylor_j + 1):
+        if jj > 0:
+            power = power * (-x) / ((2.0 * jj - 1.0) * (2.0 * jj))
+        moments[jj] = weights @ power
+    return moments
+
+
+def _autocovariance_moments(gamma_hat: np.ndarray, psi: float, taylor_j: int) -> np.ndarray:
+    """:func:`_lag_moments` of the two-sided autocovariance sum: lag 0 once,
+    every other lag twice."""
+    weights = 2.0 * gamma_hat
+    weights[0] = gamma_hat[0]
+    return _lag_moments(np.arange(len(gamma_hat), dtype=float), weights, psi, taylor_j)
+
+
+def _weighted_a(
+    hurst: float, nu: float, psi: float, m: int, moments: np.ndarray, tau_max: float
+) -> float:
+    """sum_tau w_tau a_tau for the lag weights behind ``moments``.
+
+    Each a_tau approximates (1/2pi) * integral_0^psi cos(tau * lam) / g(lam)
+    dlam through the expansion of 1/g near zero, summed to taylor_j =
+    len(moments) - 1 cosine terms; only the coefficients ``bracket`` depend on
+    (hurst, nu). Warns with :class:`AccuracyWarning` when the truncation error
+    bound, uniform in tau <= ``tau_max``, exceeds ``_TRUNCATION_WARN_LEVEL``.
+    """
+    taylor_j = len(moments) - 1
     denom = nu * nu * c_h(hurst)
     j = np.arange(taylor_j + 1, dtype=float)
     bracket = psi ** (2.0 * hurst) / (2.0 * j + 2.0 * hurst)
     bracket -= psi ** (1.0 + 4.0 * hurst) / (
         denom * m * math.pi * (1.0 + 2.0 * j + 4.0 * hurst)
     )
-    tau_max = float(np.max(taus))
     if tau_max > 0.0:
         # The first omitted term times half the leading-order mass of 1/g.
         log_lead = (2 * taylor_j + 1) * math.log(tau_max * psi) - math.lgamma(2 * taylor_j + 2)
@@ -146,27 +171,21 @@ def _a_values(
                 AccuracyWarning,
                 stacklevel=3,
             )
-    x = (taus * psi) ** 2
-    out = np.zeros_like(x)
-    power = np.ones_like(x)  # (-1)^j (tau psi)^(2j) / (2j)!
-    for jj in range(taylor_j + 1):
-        if jj > 0:
-            power = power * (-x) / ((2.0 * jj - 1.0) * (2.0 * jj))
-        out += power * bracket[jj]
-    return out / (TWO_PI * denom)
+    return float(bracket @ moments) / (TWO_PI * denom)
 
 
 def a_coefficient(
     hurst: float, nu: float, tau: int, psi: float, taylor_j: int, m: int
 ) -> float:
-    """Single low-frequency weight for lag ``tau``; see :func:`_a_values`."""
+    """Single low-frequency weight for lag ``tau``; see :func:`_weighted_a`."""
     _validate_point(hurst, nu)
     _validate_cut(psi, m)
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if taylor_j < 0:
         raise ValueError("taylor_j must be >= 0")
-    return float(_a_values(hurst, nu, np.asarray([float(tau)]), psi, taylor_j, m)[0])
+    moments = _lag_moments(np.asarray([float(tau)]), np.ones(1), psi, taylor_j)
+    return _weighted_a(hurst, nu, psi, m, moments, float(tau))
 
 
 def correction_a1(hurst: float, nu: float, psi: float, m: int) -> float:
@@ -188,7 +207,11 @@ def correction_a2(
     hurst: float, nu: float, psi: float, taylor_j: int, m: int, gamma_hat
 ) -> float:
     """Weighted autocovariance sum approximating (1/2pi) *
-    integral_0^psi I_n(lam)/g(lam) dlam."""
+    integral_0^psi I_n(lam)/g(lam) dlam.
+
+    Evaluated in moment form, sum_j bracket_j M_j / (4 pi^2 nu^2 C_H), with
+    the lag moments M_j of :func:`_autocovariance_moments`.
+    """
     _validate_point(hurst, nu)
     _validate_cut(psi, m)
     if taylor_j < 0:
@@ -196,10 +219,8 @@ def correction_a2(
     gamma_hat = np.asarray(gamma_hat, dtype=float)
     if gamma_hat.ndim != 1 or len(gamma_hat) < 1:
         raise ValueError("gamma_hat must be a nonempty 1-d sequence")
-    n = len(gamma_hat)
-    weights = _a_values(hurst, nu, np.arange(n, dtype=float), psi, taylor_j, m)
-    total = weights[0] * gamma_hat[0] + 2.0 * float(weights[1:] @ gamma_hat[1:])
-    return total / TWO_PI
+    moments = _autocovariance_moments(gamma_hat, psi, taylor_j)
+    return _weighted_a(hurst, nu, psi, m, moments, float(len(gamma_hat) - 1)) / TWO_PI
 
 
 def _panel_breakpoints(lo: float, hi: float, growth: float, width_cap: float) -> np.ndarray:
@@ -238,10 +259,12 @@ def _gauss_panels(
 class WhittleObjective:
     """Reusable objective for one increment series.
 
-    Precomputes the sample autocovariance and the periodogram on frequency
-    panels once; each (hurst, nu) evaluation then only recomputes the model
-    density. The quadrature refines panel splits until successive values
-    agree within the configured tolerances.
+    Precomputes once the sample autocovariance and its lag moments for
+    the a2 correction, and per quadrature level the periodogram and the
+    :class:`DenseNodes` of the density on that level's nodes; each (hurst,
+    nu) evaluation then only does the hurst-dependent work. The quadrature
+    refines panel splits until successive values agree within the
+    configured tolerances.
     """
 
     def __init__(self, y: LogRvIncrements, config: SpectralConfig | None = None):
@@ -254,7 +277,8 @@ class WhittleObjective:
         psi = self.config.psi
         width_cap = min((math.pi - psi) / 16.0, 2.0 * TWO_PI / max(self.n, 8))
         self._breaks = _panel_breakpoints(psi, math.pi, 2.0, width_cap)
-        self._levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._a2_moments = _autocovariance_moments(self.gamma_hat, psi, self.config.taylor_j)
+        self._levels: dict[int, tuple[DenseNodes, np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _level(self, level: int):
         cached = self._levels.get(level)
@@ -264,7 +288,7 @@ class WhittleObjective:
             )
             i_vals = periodogram(self.y, nodes)
             ell_vals = ell(nodes)
-            cached = (nodes, weights, i_vals, ell_vals)
+            cached = (DenseNodes(nodes, self.config.paxson_k), weights, i_vals, ell_vals)
             self._levels[level] = cached
         return cached
 
@@ -277,10 +301,9 @@ class WhittleObjective:
 
     def corrections(self, hurst: float, nu: float) -> float:
         """Objective mass below the cut frequency: a1 + a2."""
-        cfg = self.config
-        return correction_a1(hurst, nu, cfg.psi, self.m) + correction_a2(
-            hurst, nu, cfg.psi, cfg.taylor_j, self.m, self.gamma_hat
-        )
+        psi = self.config.psi
+        a1 = correction_a1(hurst, nu, psi, self.m)
+        return a1 + _weighted_a(hurst, nu, psi, self.m, self._a2_moments, float(self.n - 1)) / TWO_PI
 
     def value(self, hurst: float, nu: float) -> float:
         _validate_point(hurst, nu)

@@ -261,6 +261,17 @@ class TestMcCommand:
         assert lines[0].startswith("h0,eta0,m,n_paths,n_converged")
         assert len(lines) == 2
 
+    def test_non_integer_intraday_count_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("m_list = 80.5\n")
+        out = tmp_path / "o.csv"
+        assert run(["mc", "--config", cfg, "--seed", 1, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: cannot parse m_list = '80.5'\n"
+        assert not out.exists()
+
+    def test_integral_float_counts_still_parse(self):
+        assert cli._int_tuple("80,4e2,1000.0") == (80, 400, 1000)
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "mc.cfg"
         cfg.write_text("h0_lst = 0.3\n")
@@ -304,11 +315,14 @@ class TestExitCodes:
         "scaling --lags 1:x",
         "scaling --lags 1,x",
         "illusion --frequencies abc",
+        "illusion --frequencies 80.7",
+        "mc --m 399.9",
     ])
     def test_malformed_list_flag_exits_one(self, command, rv300, tmp_path, capsys):
         out = tmp_path / "out.csv"
         required = {"scaling": ["--rv", rv300, "--out", out],
-                    "illusion": ["--seed", 1, "--out", out]}
+                    "illusion": ["--seed", 1, "--out", out],
+                    "mc": ["--seed", 1, "--out", out]}
         sub, flag, value = command.split()
         assert run([sub, flag, value] + required[sub]) == 1
         err = capsys.readouterr().err

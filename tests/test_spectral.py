@@ -102,6 +102,75 @@ class TestFh:
         assert fast == pytest.approx(direct, rel=1e-12, abs=1e-300)
 
 
+def workspace_nodes(n):
+    """The level-0 and level-1 quadrature nodes of a workspace on n increments."""
+    y = rv.LogRvIncrements(np.random.default_rng(n).standard_normal(n), delta=1.0 / 250.0, m=80)
+    workspace = rv.WhittleObjective(y)
+    return [workspace._level(level)[0].lam1 for level in (0, 1)]
+
+
+NODE_SET_HURSTS = (0.001, 0.01, 0.1, 0.5, 0.9, 0.99)
+
+
+class TestDenseNodes:
+    @pytest.mark.parametrize("n_days", [501, 2500])
+    def test_node_set_equals_plain_call_and_direct_sum(self, n_days):
+        for nodes in workspace_nodes(n_days - 1):
+            node_set = rv.DenseNodes(nodes, 500)
+            for hurst in NODE_SET_HURSTS:
+                fast = rv.f_h_dense(node_set, hurst)
+                assert np.array_equal(fast, rv.f_h_dense(nodes, hurst))
+                # the direct sum in chunks keeps its K x N temporaries small
+                direct = np.concatenate(
+                    [rv.f_h(chunk, hurst, 500) for chunk in np.array_split(nodes, 8)]
+                )
+                assert np.max(np.abs(fast - direct) / direct) < 1e-12
+
+    def test_reuse_across_hurst_matches_fresh_calls(self):
+        lam = np.linspace(1e-6, math.pi, 257)
+        node_set = rv.DenseNodes(lam)
+        hursts = [0.3, 0.05, 0.9, 0.3, 0.5, 0.001, 0.05]
+        reused = [rv.f_h_dense(node_set, hurst) for hurst in hursts]
+        for hurst, value in zip(hursts, reused):
+            assert np.array_equal(value, rv.f_h_dense(lam, hurst))
+
+    def test_scalar_and_shaped_input_keep_their_shape(self):
+        value = rv.f_h_dense(0.7, 0.3)
+        assert isinstance(value, float)
+        assert rv.f_h_dense(rv.DenseNodes(0.7), 0.3) == value
+        assert rv.f_h_dense(np.float64(0.7), 0.3) == value
+        lam = np.array([[0.1, -0.7, 2.0], [3.0, 0.0, -1.5]])
+        for density_input in (lam, rv.DenseNodes(lam)):
+            shaped = rv.f_h_dense(density_input, 0.3)
+            assert shaped.shape == (2, 3)
+            assert np.array_equal(shaped.ravel(), rv.f_h_dense(lam.ravel(), 0.3))
+        assert rv.f_h_dense(np.array([0.7]), 0.3).shape == (1,)
+
+    def test_origin_rules(self):
+        lam = np.array([0.0, 0.5])
+        for density_input in (lam, rv.DenseNodes(lam)):
+            assert rv.f_h_dense(density_input, 0.3)[0] == 0.0
+            assert rv.f_h_dense(density_input, 0.5)[0] == pytest.approx(rv.c_h(0.5), abs=1e-15)
+            with pytest.raises(ValueError, match="diverges"):
+                rv.f_h_dense(density_input, 0.7)
+        assert rv.f_h_dense(0.0, 0.3) == 0.0
+
+    def test_paxson_k_must_match_the_node_set(self):
+        node_set = rv.DenseNodes(np.array([0.2, 1.0]), 400)
+        with pytest.raises(ValueError, match="paxson_k=400"):
+            rv.f_h_dense(node_set, 0.3)
+        with pytest.raises(ValueError, match="paxson_k=400"):
+            rv.f_h_dense(node_set, 0.3, 500)
+        assert np.array_equal(rv.f_h_dense(node_set, 0.3, 400),
+                              rv.f_h_dense(np.array([0.2, 1.0]), 0.3, 400))
+
+    def test_rejects_bad_node_sets(self):
+        with pytest.raises(ValueError, match="lambda must lie"):
+            rv.DenseNodes(np.array([0.5, 4.0]))
+        with pytest.raises(ValueError, match="paxson_k"):
+            rv.DenseNodes(0.5, 0)
+
+
 class TestEll:
     def test_values(self):
         assert rv.ell(0.0) == 0.0

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 import roughvol as rv
 from roughvol.proxy import LogRvIncrements
-from roughvol.whittle import AccuracyWarning, QuadratureError, _a_values
+from roughvol.whittle import AccuracyWarning, QuadratureError
 
 TWO_PI = 2.0 * math.pi
 CFG = rv.SpectralConfig()
@@ -58,6 +58,34 @@ def b2_by_quadrature(hurst, nu, psi, m, y):
 
     value, _ = quad(integrand, 0.0, psi ** (2.0 * hurst), epsabs=1e-15, epsrel=1e-12, limit=300)
     return value / (2.0 * hurst) / TWO_PI
+
+
+def a_values_per_lag(hurst, nu, taus, psi, taylor_j, m):
+    """Low-frequency weights a_tau lag by lag, each summed over its
+    ``taylor_j`` + 1 cosine terms: the form the production moment sums
+    sum_j bracket_j M_j rearrange."""
+    denom = nu * nu * rv.c_h(hurst)
+    j = np.arange(taylor_j + 1, dtype=float)
+    bracket = psi ** (2.0 * hurst) / (2.0 * j + 2.0 * hurst)
+    bracket -= psi ** (1.0 + 4.0 * hurst) / (
+        denom * m * math.pi * (1.0 + 2.0 * j + 4.0 * hurst)
+    )
+    x = (taus * psi) ** 2
+    out = np.zeros_like(x)
+    power = np.ones_like(x)  # (-1)^j (tau psi)^(2j) / (2j)!
+    for jj in range(taylor_j + 1):
+        if jj > 0:
+            power = power * (-x) / ((2.0 * jj - 1.0) * (2.0 * jj))
+        out += power * bracket[jj]
+    return out / (TWO_PI * denom)
+
+
+def differenced_series(n, seed):
+    """Increments of a slow random walk observed with noise, like log-RV
+    increments: sum_tau c_tau gamma_tau telescopes to (sum y)^2 / n."""
+    rng = np.random.default_rng(seed)
+    level = 0.05 * np.cumsum(rng.standard_normal(n + 1)) + rng.standard_normal(n + 1)
+    return np.diff(level)
 
 
 ORACLE_POINTS = [
@@ -145,6 +173,23 @@ class TestCorrectionA2:
         with pytest.raises(ValueError, match=message):
             rv.correction_a2(0.3, 1.0, psi, taylor_j, m, np.ones(16))
 
+    @pytest.mark.parametrize("n", [2500, 20_000])
+    def test_moment_form_matches_per_lag_sum(self, n):
+        # a2 is a cancelling sum (the series is differenced), so the two
+        # summation orders are compared on the scale of the sum of the
+        # absolute terms, which bounds the roundoff of either order.
+        gamma = rv.autocovariance_hat(differenced_series(n, seed=n))
+        lag_weight = np.full(n, 2.0)
+        lag_weight[0] = 1.0
+        for psi in (CFG.psi, 1e-4):
+            for hurst in (0.01, 0.1, 0.3, 0.5, 0.9):
+                for nu in (0.05, 1.0, 3.0):
+                    a = a_values_per_lag(hurst, nu, np.arange(n, dtype=float), psi,
+                                         CFG.taylor_j, 80)
+                    terms = lag_weight * a * gamma / TWO_PI
+                    got = rv.correction_a2(hurst, nu, psi, CFG.taylor_j, 80, gamma)
+                    assert abs(got - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+
     @pytest.mark.parametrize("hurst,nu", [(0.05, 2.0), (0.1, 1.0), (0.3, 0.5), (0.7, 2.0)])
     def test_matches_quadrature(self, hurst, nu):
         y = np.random.default_rng(31).standard_normal(128) * 0.1
@@ -221,6 +266,17 @@ class TestObjective:
                 a2 = rv.correction_a2(hurst, nu, CFG.psi, CFG.taylor_j,
                                       small_sim_series.m, gamma)
                 assert abs(a1) + abs(a2) < 1e-3
+
+    def test_truncation_warning_fires_through_value(self):
+        y = LogRvIncrements(differenced_series(2500, seed=3), delta=1.0 / 250.0, m=80)
+        short_series = rv.SpectralConfig(psi=1e-3, taylor_j=3)
+        with pytest.warns(AccuracyWarning, match="lags up to 2499"):
+            rv.WhittleObjective(y, short_series).value(0.1, 0.6)
+
+    def test_no_truncation_warning_at_defaults(self, recwarn):
+        y = LogRvIncrements(differenced_series(2500, seed=3), delta=1.0 / 250.0, m=80)
+        rv.WhittleObjective(y, CFG).value(0.1, 0.6)
+        assert not [w for w in recwarn if issubclass(w.category, AccuracyWarning)]
 
     def test_corrections_are_a1_plus_a2(self, small_sim_series):
         workspace = rv.WhittleObjective(small_sim_series, CFG)
@@ -311,6 +367,22 @@ class TestEstimate:
         fit = rv.estimate(small_sim_series, box=box, starts=[(1.0, 0.5)], warn_conditions=False)
         assert fit.start_used == (1.0, 0.5)
         assert box.h_min <= fit.h_hat <= box.h_max
+
+    def test_default_fit_reproduces_recorded_estimate(self):
+        # Recorded from this fit before the density and the a2 correction
+        # were rearranged to reuse their (hurst, nu)-independent parts; the
+        # bound is the benchmark fingerprints' tolerance, which evaluation
+        # order changes of a few ulps must stay far inside.
+        spec = rv.FouSpec(hurst=0.1, eta=1.0, alpha=0.001, c=-3.2,
+                          delta=1.0 / 250.0, m=80, n_days=501, seed=2024)
+        _, lp = rv.simulate_fou_price(spec)
+        y = rv.log_rv_increments(rv.realized_variance(lp, 80, 1.0 / 250.0))
+        fit = rv.estimate(y)
+        assert fit.n_starts == 44
+        assert fit.converged
+        assert abs(fit.h_hat - 0.1023594485170736) <= 1e-6
+        assert fit.eta_hat == pytest.approx(1.0594994336548946, rel=1e-6)
+        assert fit.objective == pytest.approx(-1.5152387144471158, rel=1e-6)
 
     def test_recovers_parameters_on_one_long_path(self):
         delta, m = 1.0 / 250.0, 80
