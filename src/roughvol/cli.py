@@ -29,6 +29,7 @@ from .harness import (
     ILLUSION_N_DAYS,
     SUMMARY_DIGITS,
     McConfig,
+    intraday_counts,
     print_mc_summary,
     run_illusion_experiment,
     run_mc_table,
@@ -71,10 +72,7 @@ def _float_tuple(text: str) -> tuple:
 
 
 def _int_tuple(text: str) -> tuple:
-    values = _float_tuple(text)
-    if not all(x.is_integer() for x in values):
-        raise ValueError(f"not a comma list of integers: {text!r}")
-    return tuple(int(x) for x in values)
+    return intraday_counts(_float_tuple(text))
 
 
 def _show(value) -> str:

@@ -1,10 +1,10 @@
 """Fractional Gaussian noise synthesis and fractional Ornstein-Uhlenbeck
 price simulation on a uniform grid.
 
-The noise generator uses circulant embedding of the increment covariance,
-which is exact in distribution and costs O(N log N); an indefinite
-embedding (an eigenvalue below a small negative tolerance) raises
-SynthesisError.
+The noise generator uses circulant embedding of the increment covariance
+(Dietrich & Newsam 1997): exact in distribution, one real FFT per draw,
+O(N log N); an indefinite embedding (an eigenvalue below a small negative
+tolerance) raises SynthesisError.
 Log-variance follows a mean-reverting Euler recursion driven by the
 fractional noise, and the log-price accumulates conditionally Gaussian
 returns driven by an independent Brownian stream.
@@ -146,25 +146,32 @@ def fgn_autocovariance(hurst, lag):
     """Autocovariance of unit-step, unit-variance fractional Gaussian noise.
 
     gamma(tau) = ((|tau|+1)^(2H) - 2|tau|^(2H) + ||tau|-1|^(2H)) / 2.
-    Accepts a scalar or array lag.
+    Accepts a scalar or array lag. From |tau| = 2 on, where those terms
+    nearly cancel, it is evaluated as tau^(2H) (expm1(s) (1 + q) + q) with
+    x = 1/tau, s = H log1p(-x^2) and q = 2 sinh(H atanh(x))^2, whose parts
+    are of order x^2: full relative precision for H away from 1/2.
     """
     if not 0.0 < hurst <= 1.0:
         raise ValueError(f"hurst must be in (0, 1], got {hurst}")
     tau = np.abs(np.asarray(lag, dtype=float))
     h2 = 2.0 * hurst
-    gamma = 0.5 * ((tau + 1.0) ** h2 - 2.0 * tau**h2 + np.abs(tau - 1.0) ** h2)
-    if np.isscalar(lag) or np.ndim(lag) == 0:
-        return float(gamma)
-    return gamma
+    gamma = np.empty_like(tau)
+    near = tau < 2.0
+    t = tau[near]
+    gamma[near] = 0.5 * ((t + 1.0) ** h2 - 2.0 * t**h2 + np.abs(t - 1.0) ** h2)
+    t = tau[~near]
+    x = 1.0 / t
+    q = 2.0 * np.sinh(hurst * np.arctanh(x)) ** 2
+    gamma[~near] = t**h2 * (np.expm1(hurst * np.log1p(-x * x)) * (1.0 + q) + q)
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 @lru_cache(maxsize=8)
 def _circulant_eigenvalues(hurst: float, n: int) -> np.ndarray:
-    # First row of the 2n circulant embedding the n x n Toeplitz covariance.
+    # Eigenvalues 0..n of the 2n circulant with first row gamma(0..n),
+    # gamma(n-1..1) embedding the covariance; eigenvalue 2n - k equals k.
     gamma = fgn_autocovariance(hurst, np.arange(n + 1))
-    gamma = np.atleast_1d(gamma)
-    row = np.concatenate([gamma, gamma[-2:0:-1]])
-    eig = np.fft.fft(row).real
+    eig = np.fft.hfft(gamma)[: n + 1].copy()  # keep no view of the mirrored half
     eig.flags.writeable = False
     return eig
 
@@ -177,18 +184,14 @@ def _fgn_unit_increments(hurst: float, n: int, rng: np.random.Generator) -> np.n
             f"circulant embedding indefinite for hurst={hurst}, n={n}: "
             f"min eigenvalue {eig.min():.3e}"
         )
-    lam = np.clip(eig, 0.0, None)
-    m2 = 2 * n
-    v = np.empty(m2, dtype=complex)
-    ends = rng.standard_normal(2)
-    v[0] = ends[0]
-    v[n] = ends[1]
-    if n > 1:
-        pairs = rng.standard_normal((n - 1, 2))
-        inner = (pairs[:, 0] + 1j * pairs[:, 1]) / np.sqrt(2.0)
-        v[1:n] = inner
-        v[n + 1 :] = np.conj(inner[::-1])
-    return np.fft.fft(np.sqrt(lam) * v)[:n].real / np.sqrt(m2)
+    # Free coefficients 0..n of a Hermitian 2n-vector of unit variance:
+    # real at 0 and n, one (real, imaginary) row of normals in between.
+    half = np.empty(n + 1, dtype=complex)
+    half[[0, n]] = rng.standard_normal(2)
+    half[1:n] = rng.standard_normal((n - 1, 2)).view(complex)[:, 0] / np.sqrt(2.0)
+    half *= np.sqrt(np.clip(eig, 0.0, None))
+    # Its forward FFT is real: 2n times the inverse real FFT of the conjugate.
+    return np.fft.irfft(np.conj(half, out=half), 2 * n)[:n] * np.sqrt(2 * n)
 
 
 def simulate_fgn(spec: FgnSpec) -> GridPath:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fracsim import FouSpec, simulate_fou_price
 from .ingest import DEFAULT_DELTA
-from .proxy import error_zscores, integrated_variance, log_rv_increments, realized_variance
+from .proxy import RvSeries, error_zscores, integrated_variance, log_rv_increments, realized_variance
 from .scaling import fit_scaling
 from .whittle import estimate
 
@@ -50,6 +50,16 @@ _EXPERIMENT_START_H = (0.1, 0.5, 0.9)
 _EXPERIMENT_START_NU = (0.05, 0.5, 2.0)
 
 
+def intraday_counts(values) -> tuple[int, ...]:
+    """``values`` as ints: whole numbers such as ``80.0`` or ``4e2`` pass, any
+    other value raises ``ValueError`` naming it."""
+    values = tuple(values)
+    fractional = [str(v) for v in values if not float(v).is_integer()]
+    if fractional:
+        raise ValueError(f"intraday counts must be whole numbers, got {', '.join(fractional)}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo grid over (true hurst, true eta, intraday count)."""
@@ -73,7 +83,7 @@ class McConfig:
             raise ValueError("parameter grids must be nonempty")
         object.__setattr__(self, "h0_list", tuple(float(h) for h in self.h0_list))
         object.__setattr__(self, "eta0_list", tuple(float(e) for e in self.eta0_list))
-        object.__setattr__(self, "m_list", tuple(int(m) for m in self.m_list))
+        object.__setattr__(self, "m_list", intraday_counts(self.m_list))
 
     def cells(self) -> list[tuple[float, float, int]]:
         return [
@@ -137,15 +147,8 @@ def derive_path_seed(base_seed: int, h0: float, eta0: float, m: int, path_index:
 def _fit_one_path(config: McConfig, h0: float, eta0: float, m: int, path_index: int):
     seed = derive_path_seed(config.base_seed, h0, eta0, m, path_index)
     spec = FouSpec(
-        hurst=h0,
-        eta=eta0,
-        alpha=config.alpha,
-        c=config.c,
-        delta=config.delta,
-        m=m,
-        n_days=config.n_days,
-        seed=seed,
-        substeps=config.substeps,
+        hurst=h0, eta=eta0, alpha=config.alpha, c=config.c, delta=config.delta,
+        m=m, n_days=config.n_days, seed=seed, substeps=config.substeps,
     )
     try:
         _, log_price = simulate_fou_price(spec)
@@ -221,25 +224,11 @@ def run_mc_table(config: McConfig, workers: int = 1, log=None) -> McReport:
     return McReport(cells=tuple(cells), base_seed=config.base_seed, wall_time=total_time)
 
 
-def _illusion_one(seed: int, m: int, m_grid: int, n_days: int) -> IllusionRow:
-    spec = FouSpec(
-        hurst=ILLUSION_HURST,
-        eta=ILLUSION_ETA,
-        alpha=ILLUSION_ALPHA,
-        c=ILLUSION_C,
-        delta=DEFAULT_DELTA,
-        m=m_grid,
-        n_days=n_days,
-        seed=seed,
-    )
-    _, log_price = simulate_fou_price(spec)
-    rv = realized_variance(log_price, m, DEFAULT_DELTA)
-    log_vol = 0.5 * np.log(rv.values)
-    scal = fit_scaling(log_vol)
-    y = log_rv_increments(rv)
+def _illusion_one(rv: RvSeries) -> IllusionRow:
+    scal = fit_scaling(0.5 * np.log(rv.values))
     starts = [(h, v) for h in _EXPERIMENT_START_H for v in _EXPERIMENT_START_NU]
-    fit = estimate(y, starts=starts, warn_conditions=False)
-    return IllusionRow(m=m, scaling_h=scal.h_estimate,
+    fit = estimate(log_rv_increments(rv), starts=starts, warn_conditions=False)
+    return IllusionRow(m=rv.m, scaling_h=scal.h_estimate,
                        whittle_h=fit.h_hat, whittle_eta=fit.eta_hat)
 
 
@@ -252,13 +241,16 @@ def run_illusion_experiment(
     """One simulated smooth-volatility price path, analyzed at several
     realized-variance frequencies with both methods.
 
-    Each frequency is one task that simulates the path from ``seed`` on the
-    finest grid and subsamples it, so every frequency sees the same prices
-    (the simulation is repeated per task, not shared). The regression
-    exponent collapses as sampling coarsens while the spectral estimate
-    stays near 1/2. Raises ``ValueError`` for ``workers < 1``.
+    The path is simulated once from ``seed``, in this process, on the grid
+    of the finest frequency; each frequency subsamples it into one daily
+    realized-variance series, and only the regression and spectral fits
+    of those series run as tasks. The regression exponent collapses as
+    sampling coarsens while the spectral estimate stays near 1/2. Raises
+    ``ValueError`` for ``workers < 1``.
     """
-    frequencies = sorted(int(m) for m in frequencies)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    frequencies = sorted(intraday_counts(frequencies))
     if not frequencies:
         raise ValueError("frequencies must be nonempty")
     m_grid = frequencies[-1]
@@ -267,7 +259,14 @@ def run_illusion_experiment(
             raise ValueError(
                 f"every frequency must divide the finest one; {m} does not divide {m_grid}"
             )
-    return _map(_illusion_one, [(seed, m, m_grid, n_days) for m in frequencies], workers)
+    spec = FouSpec(
+        hurst=ILLUSION_HURST, eta=ILLUSION_ETA, alpha=ILLUSION_ALPHA, c=ILLUSION_C,
+        delta=DEFAULT_DELTA, m=m_grid, n_days=n_days, seed=seed,
+    )
+    log_price = simulate_fou_price(spec)[1]
+    series = [(realized_variance(log_price, m, DEFAULT_DELTA),) for m in frequencies]
+    del log_price  # the pool's workers need only the daily series
+    return _map(_illusion_one, series, workers)
 
 
 def run_zscore_experiment(m: int, n_days: int, seed: int) -> ZscoreResult:
@@ -283,8 +282,6 @@ def run_zscore_experiment(m: int, n_days: int, seed: int) -> ZscoreResult:
     materially inside a day; that finite-resolution effect is real, not an
     artifact.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     spec = FouSpec(
         hurst=ZSCORE_HURST, eta=ZSCORE_ETA, alpha=DEFAULT_ALPHA, c=DEFAULT_C,
         delta=DEFAULT_DELTA, m=m, n_days=n_days, seed=seed,

@@ -116,20 +116,65 @@ class TestSimulateFgn:
 
 
 # Hurst values and sizes over which the circulant embedding was scanned:
-# small n, the sizes around powers of two, and up to 8192 steps.
+# small n, the sizes around powers of two, and up to 8192 steps; near
+# H = 1 also the long grids where the difference form of the
+# autocovariance cancelled catastrophically and the embedding went
+# indefinite.
 EMBEDDING_HURSTS = (0.001, 0.01, 0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75,
                     0.8, 0.9, 0.95, 0.99, 0.999, 1.0)
 EMBEDDING_SIZES = (*range(1, 130), 255, 256, 257, 1000, 1023, 4096, 8191, 8192)
+EMBEDDING_CASES = [pytest.param(h, EMBEDDING_SIZES, id=str(h)) for h in EMBEDDING_HURSTS] + [
+    pytest.param(0.99, (800_000,), id="0.99-800000"),
+    pytest.param(0.999, (1_000_000,), id="0.999-1000000"),
+]
+
+
+def mirrored_eigenvalues(hurst, n):
+    """All 2n embedding eigenvalues: complex FFT of the mirrored first row."""
+    gamma = np.atleast_1d(rv.fgn_autocovariance(hurst, np.arange(n + 1)))
+    return np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+
+
+def mirrored_fgn_draw(hurst, n, rng):
+    """Reference draw: the full Hermitian 2n-vector of normals, scaled by the
+    square roots of all 2n eigenvalues, through one complex FFT."""
+    lam = np.clip(mirrored_eigenvalues(hurst, n), 0.0, None)
+    v = np.empty(2 * n, dtype=complex)
+    ends = rng.standard_normal(2)
+    v[0] = ends[0]
+    v[n] = ends[1]
+    if n > 1:
+        pairs = rng.standard_normal((n - 1, 2))
+        inner = (pairs[:, 0] + 1j * pairs[:, 1]) / np.sqrt(2.0)
+        v[1:n] = inner
+        v[n + 1 :] = np.conj(inner[::-1])
+    return np.fft.fft(np.sqrt(lam) * v)[:n].real / np.sqrt(2 * n)
 
 
 class TestCirculantEmbedding:
-    @pytest.mark.parametrize("hurst", EMBEDDING_HURSTS)
-    def test_embedding_nonnegative_up_to_tolerance(self, hurst):
-        worst = min(_circulant_eigenvalues(hurst, n).min() for n in EMBEDDING_SIZES)
+    @pytest.mark.parametrize("hurst, sizes", EMBEDDING_CASES)
+    def test_embedding_nonnegative_up_to_tolerance(self, hurst, sizes):
+        worst = min(_circulant_eigenvalues(hurst, n).min() for n in sizes)
         assert worst >= _EIG_TOLERANCE
 
+    @pytest.mark.parametrize("hurst", (0.1, 0.5, 0.9))
+    @pytest.mark.parametrize("n", (1, 2, 3, 7, 4097, 100_000))
+    def test_eigenvalues_are_first_half_of_mirrored_row_fft(self, hurst, n):
+        full = mirrored_eigenvalues(hurst, n)
+        eig = _circulant_eigenvalues(hurst, n)
+        assert len(eig) == n + 1
+        assert np.max(np.abs(eig - full[: n + 1])) <= 1e-13 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("hurst", (0.1, 0.5, 0.9))
+    @pytest.mark.parametrize("n", (1, 2, 3, 7, 4097, 100_000))
+    def test_real_fft_draw_matches_mirrored_reference(self, hurst, n):
+        draw = _fgn_unit_increments(hurst, n, np.random.default_rng(17))
+        reference = mirrored_fgn_draw(hurst, n, np.random.default_rng(17))
+        assert draw.shape == (n,)
+        assert np.max(np.abs(draw - reference)) <= 1e-13
+
     def test_indefinite_embedding_raises(self, monkeypatch):
-        eig = np.ones(2 * 64)
+        eig = np.ones(64 + 1)
         eig[3] = -1e-3
         monkeypatch.setattr(fracsim, "_circulant_eigenvalues", lambda hurst, n: eig)
         message = r"hurst=0\.3, n=64: min eigenvalue -1\.000e-03"

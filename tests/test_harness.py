@@ -142,6 +142,22 @@ class TestIllusionExperiment:
         rows_b = rv.run_illusion_experiment(seed=5, frequencies=(8, 16), n_days=120, workers=2)
         assert rows_a == rows_b
 
+    def test_simulates_the_path_once(self, monkeypatch):
+        specs = []
+
+        def counting(spec):
+            specs.append(spec)
+            return rv.simulate_fou_price(spec)
+
+        monkeypatch.setattr(harness, "simulate_fou_price", counting)
+        rows = rv.run_illusion_experiment(seed=5, frequencies=(8, 16), n_days=120)
+        assert [row.m for row in rows] == [8, 16]
+        assert [(spec.m, spec.n_days, spec.seed) for spec in specs] == [(16, 120, 5)]
+
+    def test_rejects_fractional_frequency(self):
+        with pytest.raises(ValueError, match="whole numbers, got 8.5$"):
+            rv.run_illusion_experiment(seed=1, frequencies=(8.5, 16), n_days=60)
+
 
 class TestZscoreExperiment:
     def test_moments_near_limit(self):
@@ -160,6 +176,15 @@ class TestConfigValidation:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             rv.McConfig(h0_list=())
+
+    def test_fractional_intraday_counts_rejected(self):
+        with pytest.raises(ValueError, match="whole numbers, got 80.5, 399.9$"):
+            rv.McConfig(m_list=(80.5, 399.9))
+
+    def test_integral_float_intraday_counts_become_ints(self):
+        m_list = rv.McConfig(m_list=(80.0, 4e2, np.int64(1000))).m_list
+        assert m_list == (80, 400, 1000)
+        assert all(type(m) is int for m in m_list)
 
     def test_config_immutable(self):
         config = small_config()
