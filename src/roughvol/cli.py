@@ -299,6 +299,7 @@ def _cmd_estimate(args) -> int:
             ("delta", fit.delta),
             ("m", fit.m),
             ("n_starts", fit.n_starts),
+            ("failed_starts", len(fit.failures)),
             ("start_used_h", fit.start_used[0]),
             ("start_used_nu", fit.start_used[1]),
             ("converged", fit.converged),

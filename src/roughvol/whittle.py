@@ -33,6 +33,11 @@ from .spectral import (
 )
 
 _MAX_REFINEMENTS = 4
+# Successful L-BFGS-B descents per fit, from the best-screened starts.
+_DESCENTS = 2
+# Shortest increment series estimate accepts; the panel-width cap of the
+# objective's quadrature grid treats shorter series as this long.
+_MIN_INCREMENTS = 8
 # Lower end of the objective_oracle integral.
 _ORACLE_EPS = 1e-9
 _TRUNCATION_WARN_LEVEL = 1e-10
@@ -90,7 +95,11 @@ class ParamBox:
 
 @dataclass(frozen=True)
 class WhittleFit:
-    """Best minimizer across starts, with the back-transformed eta."""
+    """Best minimizer across descents, with the back-transformed eta.
+
+    ``failures`` holds one message per start whose screen or descent raised
+    or ended non-finite, including starts that did not produce the fit.
+    """
 
     h_hat: float
     nu_hat: float
@@ -101,6 +110,7 @@ class WhittleFit:
     start_used: tuple[float, float]
     delta: float
     m: int
+    failures: tuple[str, ...] = ()
 
 
 def _validate_point(hurst: float, nu: float) -> None:
@@ -275,7 +285,7 @@ class WhittleObjective:
         self.delta = y.delta
         self.gamma_hat = autocovariance_hat(self.y)
         psi = self.config.psi
-        width_cap = min((math.pi - psi) / 16.0, 2.0 * TWO_PI / max(self.n, 8))
+        width_cap = min((math.pi - psi) / 16.0, 2.0 * TWO_PI / max(self.n, _MIN_INCREMENTS))
         self._breaks = _panel_breakpoints(psi, math.pi, 2.0, width_cap)
         self._a2_moments = _autocovariance_moments(self.gamma_hat, psi, self.config.taylor_j)
         self._levels: dict[int, tuple[DenseNodes, np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -434,14 +444,22 @@ def estimate(
     nu_bounds: tuple[float, float] | None = None,
     warn_conditions: bool = True,
 ) -> WhittleFit:
-    """Minimize the objective over the box from every start and keep the best.
+    """Screen every start with one objective value, descend from the best
+    and keep the lowest minimum.
 
-    Optimization runs in (hurst, log nu) with a bounded quasi-Newton method
-    and central-difference gradients; ties are broken by smaller hurst,
-    then smaller nu. The diffusion estimate is eta = nu * delta**(-hurst).
-    ``nu_bounds`` overrides the box-derived nu range when the two parameter
-    scales are managed externally.
+    Starts are clamped into the box, evaluated once and walked best first
+    (ties by smaller hurst, then smaller nu); a start is descended from
+    unless a successful descent already began at its hurst, until
+    ``_DESCENTS`` descents succeed. A start whose screen or descent raises
+    or ends non-finite goes into ``failures`` and the walk moves on.
+    Descents run in (hurst, log nu) with bounded L-BFGS-B and
+    central-difference gradients; the lowest minimum wins, ties by smaller
+    hurst, then smaller nu. The diffusion estimate is eta = nu *
+    delta**(-hurst). ``nu_bounds`` overrides the box-derived nu range when
+    the two parameter scales are managed externally.
     """
+    if len(y) < _MIN_INCREMENTS:
+        raise ValueError(f"estimate needs at least {_MIN_INCREMENTS} increments, got {len(y)}")
     box = box if box is not None else ParamBox()
     if starts is None:
         starts = default_starts(box, y.delta)
@@ -464,19 +482,35 @@ def estimate(
     bounds = [(box.h_min, box.h_max), (math.log(nu_lo), math.log(nu_hi))]
     options = {"maxiter": 500, "ftol": 1e-12, "gtol": 1e-8}
 
-    candidates = []
     failures = []
+    screened = []
     for start in starts:
-        x0 = np.array(
-            [
-                min(max(start[0], box.h_min), box.h_max),
-                min(max(math.log(start[1]), bounds[1][0]), bounds[1][1]),
-            ]
+        x0 = (
+            min(max(start[0], box.h_min), box.h_max),
+            min(max(math.log(start[1]), bounds[1][0]), bounds[1][1]),
         )
+        try:
+            value = fun(x0)
+        except (QuadratureError, FloatingPointError, ValueError) as exc:
+            failures.append(f"start {start}: {exc}")
+            continue
+        if not math.isfinite(value):
+            failures.append(f"start {start}: non-finite objective")
+            continue
+        screened.append((value, *x0, start))
+    screened.sort(key=lambda s: s[:3])
+
+    candidates = []
+    descended_h = set()
+    for _, h0, log_nu0, start in screened:
+        if len(candidates) == _DESCENTS:
+            break
+        if h0 in descended_h:
+            continue
         try:
             res = minimize(
                 fun,
-                x0,
+                np.array([h0, log_nu0]),
                 jac=lambda x: _central_gradient(fun, x),
                 method="L-BFGS-B",
                 bounds=bounds,
@@ -488,6 +522,7 @@ def estimate(
         if not np.isfinite(res.fun):
             failures.append(f"start {start}: non-finite objective")
             continue
+        descended_h.add(h0)
         candidates.append(
             (float(res.fun), float(res.x[0]), math.exp(float(res.x[1])),
              bool(res.success), start)
@@ -512,4 +547,5 @@ def estimate(
         start_used=start_used,
         delta=y.delta,
         m=y.m,
+        failures=tuple(failures),
     )

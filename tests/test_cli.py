@@ -83,6 +83,7 @@ class TestEstimateCommand:
         assert 0.001 <= float(fields[0]) <= 0.99
         assert fields[4] in ("true", "false")
         assert "n_starts=1" in diag.read_text()
+        assert "failed_starts=0" in diag.read_text().splitlines()
 
     def test_unknown_flag_exit_one(self, tmp_path, capsys):
         code = run(["estimate", "--rvv", tmp_path / "x.csv"])
@@ -341,6 +342,13 @@ class TestExitCodes:
                             "no optimizer start produced a finite minimum:")
         assert [line.partition(":")[0] for line in lines[1:]] == [
             "  start (0.1, 0.5)", "  start (0.3, 0.5)"]
+
+    def test_estimate_on_too_short_series_exits_one(self, tmp_path, capsys):
+        series = tmp_path / "rv.csv"
+        series.write_text("date,rv\n1,1e-4\n2,2e-4\n3,1.5e-4\n4,1.2e-4\n")
+        code = run(["estimate", "--rv", series, "--m", 78])
+        assert code == 1
+        assert capsys.readouterr().err == "error: estimate needs at least 8 increments, got 3\n"
 
     @pytest.mark.parametrize("sub", [["mc"], ["illusion", "--days", 10]])
     def test_zero_workers_rejected_by_the_library(self, sub, tmp_path, capsys):

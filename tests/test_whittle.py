@@ -12,8 +12,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize
 
 import roughvol as rv
+from roughvol import whittle
 from roughvol.proxy import LogRvIncrements
 from roughvol.whittle import AccuracyWarning, QuadratureError
 
@@ -86,6 +88,72 @@ def differenced_series(n, seed):
     rng = np.random.default_rng(seed)
     level = 0.05 * np.cumsum(rng.standard_normal(n + 1)) + rng.standard_normal(n + 1)
     return np.diff(level)
+
+
+def default_fit_series(seed):
+    """Log-RV increments of one 501-day rough path (H = 0.1, m = 80)."""
+    spec = rv.FouSpec(hurst=0.1, eta=1.0, alpha=0.001, c=-3.2,
+                      delta=1.0 / 250.0, m=80, n_days=501, seed=seed)
+    _, lp = rv.simulate_fou_price(spec)
+    return rv.log_rv_increments(rv.realized_variance(lp, 80, 1.0 / 250.0))
+
+
+def clamped_starts(y, starts, box=rv.ParamBox()):
+    """Starts as the optimizer sees them: (hurst, log nu) clamped into the box."""
+    lo, hi = box.nu_bounds(y.delta)
+    return [(min(max(h, box.h_min), box.h_max),
+             min(max(math.log(v), math.log(lo)), math.log(hi))) for h, v in starts]
+
+
+def screened_order(y, starts):
+    """(value, hurst, log nu) at every clamped start, best first."""
+    workspace = rv.WhittleObjective(y)
+    return sorted((workspace.value(h, math.exp(lv)), h, lv) for h, lv in clamped_starts(y, starts))
+
+
+def starts_with_twin(y):
+    """The default starts plus a second start next to the best-screened
+    one, at the same hurst, so that the two best screened values share it."""
+    starts = rv.default_starts(rv.ParamBox(), y.delta)
+    _, h, lv = screened_order(y, starts)[0]
+    return starts + [(h, 1.001 * math.exp(lv))]
+
+
+def exhaustive_estimate(y):
+    """The estimator before start screening: a full L-BFGS-B descent from
+    every default start, keeping the best by (objective, hurst, nu).
+    Returns (objective, h_hat, nu_hat, converged)."""
+    box = rv.ParamBox()
+    lo, hi = box.nu_bounds(y.delta)
+    workspace = rv.WhittleObjective(y)
+
+    def fun(x):
+        return workspace.value(float(x[0]), math.exp(float(x[1])))
+
+    bounds = [(box.h_min, box.h_max), (math.log(lo), math.log(hi))]
+    results = []
+    for x0 in clamped_starts(y, rv.default_starts(box, y.delta)):
+        res = minimize(fun, np.array(x0), jac=lambda x: whittle._central_gradient(fun, x),
+                       method="L-BFGS-B", bounds=bounds,
+                       options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-8})
+        results.append((float(res.fun), float(res.x[0]), math.exp(float(res.x[1])),
+                        bool(res.success)))
+    return min(results, key=lambda r: r[:3])
+
+
+class CountingMinimize:
+    """Stands in for ``whittle.minimize``: records each descent's start and
+    raises on the calls listed in ``fail_calls``."""
+
+    def __init__(self, fail_calls=()):
+        self.x0s = []
+        self.fail_calls = set(fail_calls)
+
+    def __call__(self, fun, x0, **kwargs):
+        self.x0s.append(tuple(float(v) for v in x0))
+        if len(self.x0s) in self.fail_calls:
+            raise FloatingPointError("injected descent failure")
+        return minimize(fun, x0, **kwargs)
 
 
 ORACLE_POINTS = [
@@ -394,6 +462,91 @@ class TestEstimate:
         assert fit.converged
         assert fit.h_hat == pytest.approx(0.3, abs=0.08)
         assert fit.eta_hat == pytest.approx(2.0, rel=0.25)
+
+
+class TestStartScreening:
+    """estimate screens every start by one objective value and descends from
+    the best two at distinct hurst."""
+
+    def test_default_starts_give_two_descents(self, small_sim_series, monkeypatch):
+        counting = CountingMinimize()
+        monkeypatch.setattr(whittle, "minimize", counting)
+        fit = rv.estimate(small_sim_series, warn_conditions=False)
+        assert fit.n_starts == 44
+        assert len(counting.x0s) == 2
+        assert fit.failures == ()
+
+    @pytest.mark.parametrize("twin", [False, True])
+    def test_descents_start_from_best_screened_values(self, small_sim_series, monkeypatch,
+                                                      twin):
+        counting = CountingMinimize()
+        monkeypatch.setattr(whittle, "minimize", counting)
+        if twin:
+            starts = starts_with_twin(small_sim_series)
+        else:
+            starts = rv.default_starts(rv.ParamBox(), small_sim_series.delta)
+        rv.estimate(small_sim_series, starts=starts, warn_conditions=False)
+        order = [(h, lv) for _, h, lv in screened_order(small_sim_series, starts)]
+        assert (order[0][0] == order[1][0]) == twin
+        first = order[0]
+        second = next(s for s in order if s[0] != first[0])
+        assert counting.x0s == [first, second]
+
+    def test_start_whose_screen_raises_is_recorded_and_skipped(self, small_sim_series,
+                                                               monkeypatch):
+        starts = rv.default_starts(rv.ParamBox(), small_sim_series.delta)
+        _, h_bad, lv_bad = screened_order(small_sim_series, starts)[0]
+        bad_start = next(s for s, x in zip(starts, clamped_starts(small_sim_series, starts))
+                         if x == (h_bad, lv_bad))
+        value = rv.WhittleObjective.value
+
+        def failing_value(self, hurst, nu):
+            if (hurst, nu) == (h_bad, math.exp(lv_bad)):
+                raise QuadratureError("injected screen failure", error_estimate=1.0)
+            return value(self, hurst, nu)
+
+        monkeypatch.setattr(rv.WhittleObjective, "value", failing_value)
+        counting = CountingMinimize()
+        monkeypatch.setattr(whittle, "minimize", counting)
+        fit = rv.estimate(small_sim_series, warn_conditions=False)
+        assert fit.failures == (f"start {bad_start}: injected screen failure",)
+        assert (h_bad, lv_bad) not in counting.x0s
+        assert len(counting.x0s) == 2
+
+    def test_failed_descent_moves_on_to_next_start(self, small_sim_series, monkeypatch):
+        counting = CountingMinimize(fail_calls={1})
+        monkeypatch.setattr(whittle, "minimize", counting)
+        starts = starts_with_twin(small_sim_series)
+        fit = rv.estimate(small_sim_series, starts=starts, warn_conditions=False)
+        order = [(h, lv) for _, h, lv in screened_order(small_sim_series, starts)]
+        # the failed start does not count as descended, so the second-ranked
+        # start is descended from although it shares the first one's hurst
+        assert order[0][0] == order[1][0]
+        third = next(s for s in order[2:] if s[0] != order[1][0])
+        assert counting.x0s == [order[0], order[1], third]
+        assert len(fit.failures) == 1
+        assert fit.failures[0].endswith(": injected descent failure")
+        assert fit.converged
+
+    @pytest.mark.parametrize("seed", [2024, 1, 2])
+    def test_matches_descents_from_every_start(self, seed):
+        y = default_fit_series(seed)
+        want_objective, want_h, _, want_converged = exhaustive_estimate(y)
+        fit = rv.estimate(y)
+        assert abs(fit.h_hat - want_h) <= 1e-6
+        assert fit.objective == pytest.approx(want_objective, rel=1e-12)
+        assert fit.converged == want_converged
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_rejects_series_shorter_than_eight_increments(self, n):
+        y = LogRvIncrements(0.3 * differenced_series(n, seed=n), delta=1.0 / 250.0, m=80)
+        with pytest.raises(ValueError, match=f"at least 8 increments, got {n}$"):
+            rv.estimate(y, warn_conditions=False)
+
+    def test_accepts_eight_increments(self):
+        y = LogRvIncrements(0.3 * differenced_series(8, seed=8), delta=1.0 / 250.0, m=80)
+        fit = rv.estimate(y, warn_conditions=False)
+        assert rv.ParamBox().h_min <= fit.h_hat <= rv.ParamBox().h_max
 
 
 class TestParamBox:
