@@ -7,14 +7,14 @@ package raises for every input it rejects; 2 for any other failure, such
 as a simulation overflow or a fit whose every start failed. ``dispatch``
 alone maps exceptions to exit codes. Output files are written atomically
 (temp file, then rename) by ``ingest.atomic_write``. Experiment
-subcommands refuse to run without an explicit --seed.
+subcommands refuse to run without an explicit --seed. This is the one
+module that prints: the library returns records and reasons as data.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import math
 import os
 import sys
@@ -27,10 +27,8 @@ from .harness import (
     DEFAULT_C,
     ILLUSION_FREQUENCIES,
     ILLUSION_N_DAYS,
-    SUMMARY_DIGITS,
     McConfig,
     intraday_counts,
-    print_mc_summary,
     run_illusion_experiment,
     run_mc_table,
     run_zscore_experiment,
@@ -55,6 +53,9 @@ from .whittle import ParamBox, estimate
 # Help text appended to a flag's description; argparse fills in the value.
 _DEFAULT = " (default %(default)s)"
 
+# Significant digits of the printed experiment summaries.
+SUMMARY_DIGITS = 6
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep codes stable
@@ -73,6 +74,12 @@ def _float_tuple(text: str) -> tuple:
 
 def _int_tuple(text: str) -> tuple:
     return intraday_counts(_float_tuple(text))
+
+
+def _summary(record, names) -> str:
+    """``name=value`` for each attribute of ``record`` in ``names``, at
+    ``SUMMARY_DIGITS`` significant digits, joined by spaces."""
+    return " ".join(f"{name}={getattr(record, name):.{SUMMARY_DIGITS}g}" for name in names)
 
 
 def _show(value) -> str:
@@ -326,11 +333,7 @@ def _cmd_scaling(args) -> int:
     if args.summary_out:
         write_csv(args.summary_out, ["h_estimate", "h_with_intercept", "r2_stage2"],
                   [(fit.h_estimate, fit.h_with_intercept, fit.r2_stage2)])
-    print(
-        f"h_estimate={fit.h_estimate:.{SUMMARY_DIGITS}g} "
-        f"h_with_intercept={fit.h_with_intercept:.{SUMMARY_DIGITS}g} "
-        f"r2_stage2={fit.r2_stage2:.{SUMMARY_DIGITS}g}"
-    )
+    print(_summary(fit, ("h_estimate", "h_with_intercept", "r2_stage2")))
     return 0
 
 
@@ -383,7 +386,9 @@ def _mc_config_from_args(args) -> McConfig:
 
 def _cmd_mc(args) -> int:
     config = _mc_config_from_args(args)
-    report = run_mc_table(config, workers=args.workers, log=sys.stderr)
+    report = run_mc_table(config, workers=args.workers)
+    sys.stderr.writelines(f"cell {(c.h0, c.eta0, c.m)} {reason}\n"
+                          for c in report.cells for reason in c.failures)
     header = ["h0", "eta0", "m", "n_paths", "n_converged", "n_failed",
               "h_mean", "h_var", "eta_mean", "eta_var", "cell_failed"]
     rows = (
@@ -392,12 +397,16 @@ def _cmd_mc(args) -> int:
         for c in report.cells
     )
     write_csv(args.out, header, rows)
+    summary = [
+        f"h0={c.h0:g} eta0={c.eta0:g} m={c.m}: "
+        f"{_summary(c, ('h_mean', 'h_var', 'eta_mean', 'eta_var'))} "
+        f"converged={c.n_converged}/{c.n_paths} [{'FAILED' if c.failed else 'ok'}]\n"
+        for c in report.cells
+    ]
     if args.summary_out:
-        buf = io.StringIO()
-        print_mc_summary(report, file=buf)
-        atomic_write(args.summary_out, [buf.getvalue()])
+        atomic_write(args.summary_out, summary)
     else:
-        print_mc_summary(report)
+        sys.stdout.writelines(summary)
     print(f"total wall time {report.wall_time:.1f}s", file=sys.stderr)
     return 0
 
@@ -410,10 +419,7 @@ def _cmd_illusion(args) -> int:
     write_csv(args.out, ["m", "scaling_h", "whittle_h", "whittle_eta"],
               ((r.m, r.scaling_h, r.whittle_h, r.whittle_eta) for r in rows))
     for r in rows:
-        print(
-            f"m={r.m}: scaling_h={r.scaling_h:.{SUMMARY_DIGITS}g} "
-            f"whittle_h={r.whittle_h:.{SUMMARY_DIGITS}g}"
-        )
+        print(f"m={r.m}: {_summary(r, ('scaling_h', 'whittle_h'))}")
     return 0
 
 
@@ -424,11 +430,7 @@ def _cmd_zscore(args) -> int:
            result.lag1_autocorr, result.skewness]
     if args.out:
         write_csv(args.out, header, [row])
-    print(
-        f"sample_variance={result.sample_variance:.{SUMMARY_DIGITS}g} "
-        f"lag1_autocorr={result.lag1_autocorr:.{SUMMARY_DIGITS}g} "
-        f"skewness={result.skewness:.{SUMMARY_DIGITS}g}"
-    )
+    print(_summary(result, ("sample_variance", "lag1_autocorr", "skewness")))
     return 0
 
 

@@ -5,11 +5,12 @@ Every path seed derives from a stable mix of the base seed, the cell
 parameters and the path index, so results are reproducible bit for bit,
 adding grid cells never perturbs existing ones, and worker-pool scheduling
 cannot change any number.
+
+Functions here return records, failure reasons included; only ``cli`` prints.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,9 +25,6 @@ from .whittle import estimate
 
 DEFAULT_ALPHA = 0.001
 DEFAULT_C = -3.2
-
-# Significant digits of the printed experiment summaries.
-SUMMARY_DIGITS = 6
 
 # Dynamics for the illusive-roughness experiment: a genuinely smooth
 # (hurst = 1/2) strongly mean-reverting volatility whose 5-minute realized
@@ -109,6 +107,7 @@ class CellStats:
     eta_mean: float
     eta_var: float
     failed: bool  # more than 20% of paths unusable
+    failures: tuple[str, ...] = ()  # "path <i>: <reason>" per unusable path
 
 
 @dataclass(frozen=True)
@@ -178,8 +177,9 @@ def _map(fn, tasks, workers: int, chunksize: int = 1) -> list:
         return list(pool.map(fn, *columns, chunksize=chunksize))
 
 
-def run_mc_table(config: McConfig, workers: int = 1, log=None) -> McReport:
-    """Simulate, proxy and estimate every (cell, path); aggregate per cell.
+def run_mc_table(config: McConfig, workers: int = 1) -> McReport:
+    """Simulate, proxy and estimate every (cell, path); aggregate per cell,
+    with the reason each unusable path gave in ``CellStats.failures``.
 
     The reduction is a deterministic fold over path indices, so serial and
     parallel runs produce identical reports. Raises ``ValueError`` for
@@ -194,17 +194,12 @@ def run_mc_table(config: McConfig, workers: int = 1, log=None) -> McReport:
     results = _map(_fit_one_path, tasks, workers, chunksize=4)
     total_time = time.monotonic() - started
     cells = []
-    for index, cell in enumerate(config.cells()):
-        h0, eta0, m = cell
+    for index, (h0, eta0, m) in enumerate(config.cells()):
         outcomes = results[index * config.n_paths:(index + 1) * config.n_paths]
         h_vals = np.array([o[1] for o in outcomes if o[3] is None], dtype=float)
         eta_vals = np.array([o[2] for o in outcomes if o[3] is None], dtype=float)
         n_converged = len(h_vals)
-        n_failed = config.n_paths - n_converged
-        if log is not None and n_failed:
-            for o in outcomes:
-                if o[3] is not None:
-                    print(f"cell {cell} path {o[0]}: {o[3]}", file=log)
+        failures = tuple(f"path {o[0]}: {o[3]}" for o in outcomes if o[3] is not None)
         ddof = 1 if n_converged > 1 else 0
         cells.append(
             CellStats(
@@ -213,12 +208,13 @@ def run_mc_table(config: McConfig, workers: int = 1, log=None) -> McReport:
                 m=m,
                 n_paths=config.n_paths,
                 n_converged=n_converged,
-                n_failed=n_failed,
+                n_failed=len(failures),
                 h_mean=float(h_vals.mean()) if n_converged else float("nan"),
                 h_var=float(h_vals.var(ddof=ddof)) if n_converged else float("nan"),
                 eta_mean=float(eta_vals.mean()) if n_converged else float("nan"),
                 eta_var=float(eta_vals.var(ddof=ddof)) if n_converged else float("nan"),
-                failed=n_failed > 0.2 * config.n_paths,
+                failed=len(failures) > 0.2 * config.n_paths,
+                failures=failures,
             )
         )
     return McReport(cells=tuple(cells), base_seed=config.base_seed, wall_time=total_time)
@@ -298,17 +294,3 @@ def run_zscore_experiment(m: int, n_days: int, seed: int) -> ZscoreResult:
         m=m, n_days=n_days, sample_variance=variance,
         lag1_autocorr=lag1, skewness=skew,
     )
-
-
-def print_mc_summary(report: McReport, file=sys.stdout) -> None:
-    """Human-readable per-cell lines (stats only, no timing)."""
-    for cell in report.cells:
-        status = "FAILED" if cell.failed else "ok"
-        print(
-            f"h0={cell.h0:g} eta0={cell.eta0:g} m={cell.m}: "
-            f"h_mean={cell.h_mean:.{SUMMARY_DIGITS}g} h_var={cell.h_var:.{SUMMARY_DIGITS}g} "
-            f"eta_mean={cell.eta_mean:.{SUMMARY_DIGITS}g} "
-            f"eta_var={cell.eta_var:.{SUMMARY_DIGITS}g} "
-            f"converged={cell.n_converged}/{cell.n_paths} [{status}]",
-            file=file,
-        )

@@ -117,6 +117,11 @@ def compute_m(calendar: MarketCalendar) -> int:
     return int(m)
 
 
+def _blank(row) -> bool:
+    """A CSV row without cells or with only whitespace in them; readers skip it."""
+    return not row or all(not cell.strip() for cell in row)
+
+
 def read_rv_csv(
     path,
     m: int,
@@ -153,7 +158,7 @@ def read_rv_csv(
         date_index = names.index(date_column) if date_column in names else None
 
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if _blank(row):
                 continue
             rows_read += 1
             if value_index >= len(row):
@@ -249,7 +254,8 @@ def write_csv(path, header, rows) -> None:
 
 def read_float_table(path, columns) -> np.ndarray:
     """Rows of a CSV file whose header starts with ``columns``, as a float
-    array of shape (rows, len(columns)); further columns are ignored."""
+    array of shape (rows, len(columns)); blank rows are skipped and further
+    columns are ignored."""
     columns = list(columns)
     width = len(columns)
     rows = []
@@ -259,6 +265,8 @@ def read_float_table(path, columns) -> np.ndarray:
         if header is None or [cell.strip() for cell in header[:width]] != columns:
             raise IngestError(f"{path}: expected header {','.join(columns)!r}")
         for lineno, row in enumerate(reader, start=2):
+            if _blank(row):
+                continue
             try:
                 rows.append([float(row[i]) for i in range(width)])
             except (IndexError, ValueError):

@@ -475,9 +475,13 @@ def estimate(
             warnings.warn(message, ConditionWarning, stacklevel=2)
 
     workspace = WhittleObjective(y, config)
+    screened_values = {}  # (hurst, log nu) of each screened start -> its value
 
     def fun(x):
-        return workspace.value(float(x[0]), math.exp(float(x[1])))
+        x = (float(x[0]), float(x[1]))
+        if x in screened_values:  # a descent's first point is its screened start
+            return screened_values[x]
+        return workspace.value(x[0], math.exp(x[1]))
 
     bounds = [(box.h_min, box.h_max), (math.log(nu_lo), math.log(nu_hi))]
     options = {"maxiter": 500, "ftol": 1e-12, "gtol": 1e-8}
@@ -497,6 +501,7 @@ def estimate(
         if not math.isfinite(value):
             failures.append(f"start {start}: non-finite objective")
             continue
+        screened_values[x0] = value
         screened.append((value, *x0, start))
     screened.sort(key=lambda s: s[:3])
 

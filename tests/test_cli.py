@@ -1,13 +1,14 @@
 """Command-line interface tests."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import roughvol as rv
-from roughvol import cli
+from roughvol import cli, harness
 from roughvol.cli import dispatch
 from roughvol.harness import DEFAULT_ALPHA, DEFAULT_C
 from roughvol.ingest import DEFAULT_DELTA, format_cell
@@ -211,7 +212,7 @@ class TestRequiredFlagsOnly:
     def test_mc_builds_the_acceptance_configuration(self, tmp_path, monkeypatch):
         configs = []
 
-        def fake_run(config, workers, log):
+        def fake_run(config, workers):
             configs.append(config)
             return rv.McReport(cells=(), base_seed=config.base_seed, wall_time=0.0)
 
@@ -269,6 +270,38 @@ class TestMcCommand:
         assert run(["mc", "--config", cfg, "--seed", 1, "--out", out]) == 1
         assert capsys.readouterr().err == f"error: {cfg}: cannot parse m_list = '80.5'\n"
         assert not out.exists()
+
+    def test_failure_reasons_and_summary_file(self, tmp_path, monkeypatch, capsys):
+        # path 0 raises, path 1 returns an unconverged fit
+        unconverged = rv.WhittleFit(h_hat=0.1, nu_hat=0.5, eta_hat=1.0, objective=0.0,
+                                    n_starts=1, converged=False, start_used=(0.1, 0.5),
+                                    delta=1.0 / 250.0, m=40)
+        outcomes = itertools.cycle([RuntimeError("boom"), unconverged])  # two runs
+
+        def fake_estimate(y, **kwargs):
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(harness, "estimate", fake_estimate)
+        argv = ["mc", "--h0", 0.1, "--eta0", 1, "--m", 40, "--paths", 2, "--days", 40,
+                "--workers", 1, "--seed", 3, "--out", tmp_path / "mc.csv"]
+        summary = tmp_path / "summary.txt"
+        assert run(argv + ["--summary-out", summary]) == 0
+        to_file = capsys.readouterr()
+        assert to_file.out == ""
+        assert to_file.err.splitlines()[:2] == [
+            "cell (0.1, 1.0, 40) path 0: RuntimeError: boom",
+            "cell (0.1, 1.0, 40) path 1: not converged",
+        ]
+        assert to_file.err.splitlines()[2].startswith("total wall time ")
+        assert len(to_file.err.splitlines()) == 3
+        assert run(argv) == 0
+        to_stdout = capsys.readouterr()
+        assert summary.read_text() == to_stdout.out
+        assert to_stdout.out == ("h0=0.1 eta0=1 m=40: h_mean=nan h_var=nan eta_mean=nan "
+                                 "eta_var=nan converged=0/2 [FAILED]\n")
 
     def test_integral_float_counts_still_parse(self):
         assert cli._int_tuple("80,4e2,1000.0") == (80, 400, 1000)

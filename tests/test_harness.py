@@ -7,7 +7,6 @@ the acceptance suite.
 """
 
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -112,15 +111,11 @@ class TestRunMcTable:
             return outcome
 
         monkeypatch.setattr(harness, "estimate", fake_estimate)
-        log = io.StringIO()
-        report = rv.run_mc_table(small_config(n_paths=2, n_days=40), workers=1, log=log)
+        report = rv.run_mc_table(small_config(n_paths=2, n_days=40), workers=1)
         cell = report.cells[0]
         assert (cell.n_converged, cell.n_failed, cell.failed) == (0, 2, True)
         assert math.isnan(cell.h_mean)
-        assert log.getvalue().splitlines() == [
-            "cell (0.1, 1.0, 40) path 0: RuntimeError: boom",
-            "cell (0.1, 1.0, 40) path 1: not converged",
-        ]
+        assert cell.failures == ("path 0: RuntimeError: boom", "path 1: not converged")
 
 
 class TestIllusionExperiment:

@@ -1,6 +1,7 @@
 """Static checks on the package source: every import is used, no module
 keeps state of its own between calls, no handler only re-labels the
-exception it caught, and every private top-level name is used."""
+exception it caught, every private top-level name is used, and only the
+command line prints."""
 
 import ast
 import re
@@ -147,3 +148,34 @@ def test_detects_unreferenced_private_names():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+STREAMS = {"stdout", "stderr"}
+
+
+def printing(source: str) -> list[str]:
+    """Calls of ``print`` and uses of ``sys.stdout`` or ``sys.stderr``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "print":
+            found.append((node.lineno, "print"))
+        elif isinstance(node, ast.Attribute) and node.attr in STREAMS \
+                and isinstance(node.value, ast.Name) and node.value.id == "sys":
+            found.append((node.lineno, f"sys.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found += [(node.lineno, f"sys.{a.name}") for a in node.names if a.name in STREAMS]
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_detects_printing():
+    source = ("import sys\nfrom sys import stderr\n"
+              "def f(x, log=sys.stdout):\n    print(x, file=log)\n"
+              "    log.write('print(x)')\n    pprint(x)\n")
+    assert printing(source) == ["sys.stderr (line 2)", "sys.stdout (line 3)", "print (line 4)"]
+
+
+@pytest.mark.parametrize("module", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_cli_prints(module):
+    assert printing(module.read_text()) == []

@@ -157,6 +157,17 @@ class TestReadFloatTable:
         assert table.shape == (2, 2)
         assert table[1, 0] == 0.30000000000000004
 
+    def test_blank_rows_are_skipped(self, tmp_path):
+        # as read_rv_csv skips them: a trailing blank line changes nothing
+        starts, grid = tmp_path / "starts.csv", tmp_path / "grid.csv"
+        for blank in ("", "\n", "\n \n", ",\n"):
+            starts.write_text("h,nu\n0.1,0.5\n\n0.3,2\n" + blank)
+            np.testing.assert_array_equal(read_float_table(starts, ("h", "nu")),
+                                          [[0.1, 0.5], [0.3, 2.0]])
+            grid.write_text("t,value\n0,1.5\n0.5,2.5\n1,3.5\n" + blank)
+            path = rv.read_grid_csv(grid)
+            assert (path.values.tolist(), path.dt, path.t0) == ([1.5, 2.5, 3.5], 0.5, 0.0)
+
     def test_empty_body_and_errors(self, tmp_path):
         target = tmp_path / "t.csv"
         target.write_text("h,nu\n")

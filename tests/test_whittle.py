@@ -143,17 +143,19 @@ def exhaustive_estimate(y):
 
 class CountingMinimize:
     """Stands in for ``whittle.minimize``: records each descent's start and
-    raises on the calls listed in ``fail_calls``."""
+    result, and raises on the calls listed in ``fail_calls``."""
 
     def __init__(self, fail_calls=()):
         self.x0s = []
+        self.results = []
         self.fail_calls = set(fail_calls)
 
     def __call__(self, fun, x0, **kwargs):
         self.x0s.append(tuple(float(v) for v in x0))
         if len(self.x0s) in self.fail_calls:
             raise FloatingPointError("injected descent failure")
-        return minimize(fun, x0, **kwargs)
+        self.results.append(minimize(fun, x0, **kwargs))
+        return self.results[-1]
 
 
 ORACLE_POINTS = [
@@ -527,6 +529,24 @@ class TestStartScreening:
         assert len(fit.failures) == 1
         assert fit.failures[0].endswith(": injected descent failure")
         assert fit.converged
+
+    def test_descent_reuses_its_screened_value(self, small_sim_series, monkeypatch):
+        # a descent's first point is its screened start: only that one of
+        # its objective values is not computed again
+        calls = []
+        value = rv.WhittleObjective.value
+
+        def counting_value(self, hurst, nu):
+            calls.append((hurst, nu))
+            return value(self, hurst, nu)
+
+        monkeypatch.setattr(rv.WhittleObjective, "value", counting_value)
+        counting = CountingMinimize()
+        monkeypatch.setattr(whittle, "minimize", counting)
+        fit = rv.estimate(small_sim_series, warn_conditions=False)
+        # each central-difference gradient takes four values
+        descents = sum(res.nfev + 4 * res.njev for res in counting.results)
+        assert len(calls) == fit.n_starts + descents - len(counting.results)
 
     @pytest.mark.parametrize("seed", [2024, 1, 2])
     def test_matches_descents_from_every_start(self, seed):
