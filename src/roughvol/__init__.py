@@ -57,7 +57,6 @@ from .spectral import (
 from .whittle import (
     AccuracyWarning,
     AllStartsFailedError,
-    ConditionWarning,
     ParamBox,
     QuadratureError,
     WhittleFit,

@@ -48,7 +48,7 @@ from .ingest import (
 from .proxy import log_rv_increments, realized_variance
 from .scaling import DEFAULT_LAGS, DEFAULT_QS, fit_scaling
 from .spectral import SpectralConfig, ell, f_h_dense, g_spectrum
-from .whittle import ParamBox, estimate
+from .whittle import ParamBox, check_conditions, estimate
 
 # Help text appended to a flag's description; argparse fills in the value.
 _DEFAULT = " (default %(default)s)"
@@ -293,6 +293,8 @@ def _cmd_estimate(args) -> int:
     rv, _report = _read_rv(args)
     y = log_rv_increments(rv)
     starts = _read_starts(args.starts) if args.starts else None
+    sys.stderr.writelines(f"warning: {message}\n"
+                          for message in check_conditions(y.delta, y.m, len(y), box))
     fit = estimate(y, box=box, starts=starts, config=config)
     header = ["h_hat", "nu_hat", "eta_hat", "objective", "converged"]
     row = [fit.h_hat, fit.nu_hat, fit.eta_hat, fit.objective, fit.converged]

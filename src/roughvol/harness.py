@@ -157,7 +157,7 @@ def _fit_one_path(config: McConfig, h0: float, eta0: float, m: int, path_index: 
             starts = [(h0, eta0 * config.delta**h0)]
         else:
             starts = None
-        fit = estimate(y, starts=starts, warn_conditions=False)
+        fit = estimate(y, starts=starts)
     except Exception as exc:  # a failed path must not sink the whole cell
         return (path_index, None, None, f"{type(exc).__name__}: {exc}")
     if not fit.converged:
@@ -223,7 +223,7 @@ def run_mc_table(config: McConfig, workers: int = 1) -> McReport:
 def _illusion_one(rv: RvSeries) -> IllusionRow:
     scal = fit_scaling(0.5 * np.log(rv.values))
     starts = [(h, v) for h in _EXPERIMENT_START_H for v in _EXPERIMENT_START_NU]
-    fit = estimate(log_rv_increments(rv), starts=starts, warn_conditions=False)
+    fit = estimate(log_rv_increments(rv), starts=starts)
     return IllusionRow(m=rv.m, scaling_h=scal.h_estimate,
                        whittle_h=fit.h_hat, whittle_eta=fit.eta_hat)
 

@@ -4,8 +4,8 @@ Realized-variance input files carry one row per trading day with a
 configurable value column. Rows with missing or nonpositive values are
 dropped and counted; surviving rows are treated as consecutive business
 days (the volatility clock stops while markets are closed, so calendar
-gaps do not enter). The intraday return count m is derived from market
-session hours.
+gaps do not enter). :func:`compute_m` derives the intraday return count m
+from market session hours; the command line takes m as a flag.
 
 Every file the package writes goes through :func:`atomic_write`: LF line
 endings, floats at 17 significant digits (re-read bit-exactly), and a
@@ -21,7 +21,7 @@ import os
 import re
 import secrets
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,18 +87,28 @@ class MarketCalendar:
 
 @dataclass(frozen=True)
 class IngestReport:
-    """Bookkeeping from one file read."""
+    """Bookkeeping from one file read: the date of each kept row, and the
+    number of dropped rows per reason. A read keeps at least one row."""
 
-    rows_read: int
-    rows_kept: int
-    rows_dropped: int
-    reasons: Counter = field(default_factory=Counter)
-    date_span: tuple[str, str] | None = None
-    kept_dates: tuple[str, ...] = ()
+    kept_dates: tuple[str, ...]
+    reasons: Counter
 
-    def __post_init__(self):
-        if self.rows_read != self.rows_kept + self.rows_dropped:
-            raise ValueError("rows_read must equal kept + dropped")
+    @property
+    def rows_kept(self) -> int:
+        return len(self.kept_dates)
+
+    @property
+    def rows_dropped(self) -> int:
+        return sum(self.reasons.values())
+
+    @property
+    def rows_read(self) -> int:
+        """Rows that were not blank."""
+        return self.rows_kept + self.rows_dropped
+
+    @property
+    def date_span(self) -> tuple[str, str]:
+        return self.kept_dates[0], self.kept_dates[-1]
 
 
 def compute_m(calendar: MarketCalendar) -> int:
@@ -195,15 +205,7 @@ def read_rv_csv(
             "mode forbids closing gaps"
         )
 
-    report = IngestReport(
-        rows_read=rows_read,
-        rows_kept=len(values),
-        rows_dropped=dropped,
-        reasons=reasons,
-        date_span=(dates[0], dates[-1]),
-        kept_dates=tuple(dates),
-    )
-    return RvSeries(values, delta=delta, m=m), report
+    return RvSeries(values, delta=delta, m=m), IngestReport(tuple(dates), reasons)
 
 
 def format_cell(value) -> str:

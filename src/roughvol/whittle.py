@@ -62,10 +62,6 @@ class AccuracyWarning(UserWarning):
     """The low-frequency correction series is truncated too early."""
 
 
-class ConditionWarning(UserWarning):
-    """A configuration lies outside the regime the estimator is built for."""
-
-
 @dataclass(frozen=True)
 class ParamBox:
     """Search box for (hurst, eta); the nu box follows from delta.
@@ -98,7 +94,9 @@ class WhittleFit:
     """Best minimizer across descents, with the back-transformed eta.
 
     ``failures`` holds one message per start whose screen or descent raised
-    or ended non-finite, including starts that did not produce the fit.
+    or ended non-finite, including starts that did not produce the fit, and
+    one per descent that stopped without converging; such a descent still
+    competes for the fit.
     """
 
     h_hat: float
@@ -371,7 +369,8 @@ def objective_oracle(
 
 def check_conditions(delta: float, m: int, n: int, box: ParamBox) -> list[str]:
     """Heuristic sanity checks on (delta, m, horizon) for the asymptotic
-    regime the estimator targets. Returns warning messages, never raises."""
+    regime the estimator targets. Returns warning messages, never raises;
+    ``estimate`` does not check them, the ``estimate`` command prints them."""
     messages = []
     if m < 10:
         messages.append(
@@ -442,7 +441,6 @@ def estimate(
     starts: list[tuple[float, float]] | None = None,
     config: SpectralConfig | None = None,
     nu_bounds: tuple[float, float] | None = None,
-    warn_conditions: bool = True,
 ) -> WhittleFit:
     """Screen every start with one objective value, descend from the best
     and keep the lowest minimum.
@@ -451,8 +449,9 @@ def estimate(
     (ties by smaller hurst, then smaller nu); a start is descended from
     unless a successful descent already began at its hurst, until
     ``_DESCENTS`` descents succeed. A start whose screen or descent raises
-    or ends non-finite goes into ``failures`` and the walk moves on.
-    Descents run in (hurst, log nu) with bounded L-BFGS-B and
+    or ends non-finite goes into ``failures`` and the walk moves on; a
+    descent that stops without converging goes there too but stays a
+    candidate. Descents run in (hurst, log nu) with bounded L-BFGS-B and
     central-difference gradients; the lowest minimum wins, ties by smaller
     hurst, then smaller nu. The diffusion estimate is eta = nu *
     delta**(-hurst). ``nu_bounds`` overrides the box-derived nu range when
@@ -469,10 +468,6 @@ def estimate(
     nu_lo, nu_hi = nu_bounds if nu_bounds is not None else box.nu_bounds(y.delta)
     if not 0.0 < nu_lo < nu_hi:
         raise ValueError("invalid nu bounds")
-
-    if warn_conditions:
-        for message in check_conditions(y.delta, y.m, len(y), box):
-            warnings.warn(message, ConditionWarning, stacklevel=2)
 
     workspace = WhittleObjective(y, config)
     screened_values = {}  # (hurst, log nu) of each screened start -> its value
@@ -527,6 +522,8 @@ def estimate(
         if not np.isfinite(res.fun):
             failures.append(f"start {start}: non-finite objective")
             continue
+        if not res.success:
+            failures.append(f"start {start}: not converged: {res.message}")
         descended_h.add(h0)
         candidates.append(
             (float(res.fun), float(res.x[0]), math.exp(float(res.x[1])),

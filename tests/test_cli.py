@@ -11,7 +11,7 @@ import roughvol as rv
 from roughvol import cli, harness
 from roughvol.cli import dispatch
 from roughvol.harness import DEFAULT_ALPHA, DEFAULT_C
-from roughvol.ingest import DEFAULT_DELTA, format_cell
+from roughvol.ingest import DEFAULT_DELTA, csv_lines, format_cell
 
 
 def run(argv):
@@ -86,6 +86,21 @@ class TestEstimateCommand:
         assert "n_starts=1" in diag.read_text()
         assert "failed_starts=0" in diag.read_text().splitlines()
 
+    def test_condition_messages_are_printed(self, rv300, tmp_path, capsys, recwarn):
+        # the command prints check_conditions' messages as warnings; the
+        # library fit raises none and gives the row the command writes
+        out = tmp_path / "fit.csv"
+        assert run(["estimate", "--rv", rv300, "--m", 4, "--out", out]) == 0
+        y = rv.log_rv_increments(rv.read_rv_csv(rv300, m=4)[0])
+        messages = rv.check_conditions(y.delta, 4, len(y), rv.ParamBox())
+        assert len(messages) == 2
+        assert capsys.readouterr().err == "".join(f"warning: {msg}\n" for msg in messages)
+        fit = rv.estimate(y)
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+        header = ["h_hat", "nu_hat", "eta_hat", "objective", "converged"]
+        row = [fit.h_hat, fit.nu_hat, fit.eta_hat, fit.objective, fit.converged]
+        assert out.read_text() == "".join(csv_lines(header, [row]))
+
     def test_unknown_flag_exit_one(self, tmp_path, capsys):
         code = run(["estimate", "--rvv", tmp_path / "x.csv"])
         assert code == 1
@@ -104,7 +119,7 @@ class TestPipelineComposition:
         _, log_price = rv.simulate_fou_price(spec)
         series = rv.realized_variance(log_price, m, delta)
         y = rv.log_rv_increments(series)
-        fit = rv.estimate(y, starts=[(h0, eta0 * delta**h0)], warn_conditions=False)
+        fit = rv.estimate(y, starts=[(h0, eta0 * delta**h0)])
 
         price_csv = tmp_path / "price.csv"
         rv_csv = tmp_path / "rv.csv"
@@ -232,8 +247,8 @@ class TestIngestCheckCommand:
         out = tmp_path / "canonical.csv"
         code = run(["ingest-check", "--rv", src, "--m", 78, "--out", out])
         assert code == 0
-        printed = capsys.readouterr().out
-        assert "dropped=1" in printed
+        assert capsys.readouterr().out == ("rows_read=3 kept=2 dropped=1 (nonpositive=1) "
+                                           "span=2020-01-02..2020-01-06\n")
         assert out.read_text().splitlines()[0] == "date,rv"
 
     def test_strict_fails(self, tmp_path):
@@ -381,7 +396,10 @@ class TestExitCodes:
         series.write_text("date,rv\n1,1e-4\n2,2e-4\n3,1.5e-4\n4,1.2e-4\n")
         code = run(["estimate", "--rv", series, "--m", 78])
         assert code == 1
-        assert capsys.readouterr().err == "error: estimate needs at least 8 increments, got 3\n"
+        assert capsys.readouterr().err == (
+            "warning: observation span n*delta=0.012 is outside the moderate range "
+            "(0.5, 200) the method is designed for\n"
+            "error: estimate needs at least 8 increments, got 3\n")
 
     @pytest.mark.parametrize("sub", [["mc"], ["illusion", "--days", 10]])
     def test_zero_workers_rejected_by_the_library(self, sub, tmp_path, capsys):

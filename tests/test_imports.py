@@ -1,7 +1,8 @@
 """Static checks on the package source: every import is used, no module
 keeps state of its own between calls, no handler only re-labels the
-exception it caught, every private top-level name is used, and only the
-command line prints."""
+exception it caught, every private top-level name is used, only the
+command line prints, and every exported name has a caller in the package
+or is a listed reference implementation."""
 
 import ast
 import re
@@ -179,3 +180,52 @@ def test_detects_printing():
                          ids=lambda p: p.name)
 def test_only_cli_prints(module):
     assert printing(module.read_text()) == []
+
+
+# Exported names that no package code calls: reference implementations the
+# tests check production code and the model against.
+REFERENCES = (
+    "objective_oracle",  # test_acceptance.py::test_criterion_4_objective_equivalence
+    "a_coefficient",  # test_acceptance.py::test_criterion_3_correction_oracles
+    "correction_a2",  # test_acceptance.py::test_criterion_3_correction_oracles
+    "simulate_fgn",  # test_acceptance.py::test_criterion_9_fgn_acf
+    "compute_m",  # test_ingest.py::TestComputeM
+)
+
+
+def uncalled_exports(exports, sources: dict) -> list[str]:
+    """Names in ``exports`` that no source in ``sources`` (module name ->
+    text) reads, imports or accesses as an attribute outside the top-level
+    definition of that name."""
+    used = set()
+    for source in sources.values():
+        for statement in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            names.discard(getattr(statement, "name", None))  # a def or class's own name
+            used |= names
+    return [name for name in exports if name not in used]
+
+
+def test_detects_uncalled_exports():
+    sources = {
+        "a": ("def walk(n):\n    return walk(n - 1)\n"
+              "class Box:\n    def copy(self):\n        return Box()\n"
+              "LIMIT = 8\n"),
+        "b": "from a import Box\nimport a\ndef run():\n    return Box, a.LIMIT\n",
+    }
+    assert uncalled_exports(["walk", "Box", "LIMIT", "run"], sources) == ["walk", "run"]
+
+
+def test_every_export_has_a_caller():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exports = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+               for alias in node.names]
+    uncalled = uncalled_exports(exports, {p.name: p.read_text() for p in MODULES})
+    assert sorted(uncalled) == sorted(REFERENCES)

@@ -97,6 +97,17 @@ class TestReadRvCsv:
         _, report = rv.read_rv_csv(target, m=78)
         assert report.reasons["missing"] == 1
 
+    def test_report_counts(self, tmp_path):
+        # blank rows are not read; missing and nonpositive ones are dropped
+        target = tmp_path / "rv.csv"
+        target.write_text("date,rv\n2020-01-02,1e-4\n\n2020-01-03,\n2020-01-06,0\n"
+                          " , \n2020-01-07,2e-4\n2020-01-08,-1\n")
+        _, report = rv.read_rv_csv(target, m=78)
+        assert report.kept_dates == ("2020-01-02", "2020-01-07")
+        assert report.reasons == {"missing": 1, "nonpositive": 2}
+        assert (report.rows_read, report.rows_kept, report.rows_dropped) == (5, 2, 3)
+        assert report.date_span == ("2020-01-02", "2020-01-07")
+
     def test_idempotent_roundtrip(self, tmp_path):
         original = tmp_path / "rv.csv"
         original.write_text(

@@ -7,6 +7,7 @@ part below float resolution for small hurst) onto a smooth bounded
 integrand.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -143,19 +144,24 @@ def exhaustive_estimate(y):
 
 class CountingMinimize:
     """Stands in for ``whittle.minimize``: records each descent's start and
-    result, and raises on the calls listed in ``fail_calls``."""
+    result, raises on the calls listed in ``fail_calls`` and reports the
+    calls in ``stop_calls`` as not converged."""
 
-    def __init__(self, fail_calls=()):
+    def __init__(self, fail_calls=(), stop_calls=()):
         self.x0s = []
         self.results = []
         self.fail_calls = set(fail_calls)
+        self.stop_calls = set(stop_calls)
 
     def __call__(self, fun, x0, **kwargs):
         self.x0s.append(tuple(float(v) for v in x0))
         if len(self.x0s) in self.fail_calls:
             raise FloatingPointError("injected descent failure")
-        self.results.append(minimize(fun, x0, **kwargs))
-        return self.results[-1]
+        res = minimize(fun, x0, **kwargs)
+        if len(self.x0s) in self.stop_calls:
+            res.success, res.message = False, "injected stop"
+        self.results.append(res)
+        return res
 
 
 ORACLE_POINTS = [
@@ -383,14 +389,14 @@ class TestObjectiveOracle:
 class TestEstimate:
     def test_deterministic(self, small_sim_series):
         starts = [(0.1, 0.5), (0.5, 1.5)]
-        fit_a = rv.estimate(small_sim_series, starts=starts, warn_conditions=False)
-        fit_b = rv.estimate(small_sim_series, starts=starts, warn_conditions=False)
+        fit_a = rv.estimate(small_sim_series, starts=starts)
+        fit_b = rv.estimate(small_sim_series, starts=starts)
         assert fit_a.h_hat == fit_b.h_hat
         assert fit_a.nu_hat == fit_b.nu_hat
         assert fit_a.objective == fit_b.objective
 
     def test_back_transform_identity(self, small_sim_series):
-        fit = rv.estimate(small_sim_series, starts=[(0.1, 0.5)], warn_conditions=False)
+        fit = rv.estimate(small_sim_series, starts=[(0.1, 0.5)])
         expected = fit.nu_hat * fit.delta ** (-fit.h_hat)
         assert fit.eta_hat == pytest.approx(expected, rel=1e-12)
         box = rv.ParamBox()
@@ -404,8 +410,8 @@ class TestEstimate:
         delta_a, delta_b = 1.0 / 250.0, 1.0 / 200.0
         y_a = small_sim_series
         y_b = LogRvIncrements(small_sim_series.y.copy(), delta=delta_b, m=small_sim_series.m)
-        fit_a = rv.estimate(y_a, starts=starts, nu_bounds=nu_bounds, warn_conditions=False)
-        fit_b = rv.estimate(y_b, starts=starts, nu_bounds=nu_bounds, warn_conditions=False)
+        fit_a = rv.estimate(y_a, starts=starts, nu_bounds=nu_bounds)
+        fit_b = rv.estimate(y_b, starts=starts, nu_bounds=nu_bounds)
         assert fit_a.h_hat == fit_b.h_hat
         assert fit_a.nu_hat == fit_b.nu_hat
         ratio = fit_b.eta_hat / fit_a.eta_hat
@@ -413,13 +419,16 @@ class TestEstimate:
 
     def test_empty_starts_rejected(self, small_sim_series):
         with pytest.raises(ValueError, match="starts"):
-            rv.estimate(small_sim_series, starts=[], warn_conditions=False)
+            rv.estimate(small_sim_series, starts=[])
 
-    def test_condition_warnings(self, small_sim_series):
+    def test_condition_warnings(self, small_sim_series, recwarn):
+        # conditions are data for the caller to report; the fit never warns
         bad_box = rv.ParamBox(h_min=0.001, h_max=0.999, eta_min=0.1, eta_max=10.0)
         y_small_m = LogRvIncrements(small_sim_series.y.copy(), delta=small_sim_series.delta, m=4)
-        with pytest.warns(rv.ConditionWarning):
-            rv.estimate(y_small_m, box=bad_box, starts=[(0.3, 0.05)])
+        rv.estimate(y_small_m, box=bad_box, starts=[(0.3, 0.05)])
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+        messages = rv.check_conditions(y_small_m.delta, 4, len(y_small_m), bad_box)
+        assert [msg.split()[:2] for msg in messages] == [["intraday", "count"], ["m", "*"]]
 
     def test_default_starts_grid(self):
         box = rv.ParamBox()
@@ -434,7 +443,7 @@ class TestEstimate:
         # a start on an upper hurst bound within one stencil step of 1: a
         # central difference would evaluate hurst > 1 and fail every start
         box = rv.ParamBox(h_max=1.0 - 1e-7)
-        fit = rv.estimate(small_sim_series, box=box, starts=[(1.0, 0.5)], warn_conditions=False)
+        fit = rv.estimate(small_sim_series, box=box, starts=[(1.0, 0.5)])
         assert fit.start_used == (1.0, 0.5)
         assert box.h_min <= fit.h_hat <= box.h_max
 
@@ -460,7 +469,7 @@ class TestEstimate:
                           delta=delta, m=m, n_days=2500, seed=404)
         _, lp = rv.simulate_fou_price(spec)
         y = rv.log_rv_increments(rv.realized_variance(lp, m, delta))
-        fit = rv.estimate(y, starts=[(0.3, 2.0 * delta**0.3)], warn_conditions=False)
+        fit = rv.estimate(y, starts=[(0.3, 2.0 * delta**0.3)])
         assert fit.converged
         assert fit.h_hat == pytest.approx(0.3, abs=0.08)
         assert fit.eta_hat == pytest.approx(2.0, rel=0.25)
@@ -473,7 +482,7 @@ class TestStartScreening:
     def test_default_starts_give_two_descents(self, small_sim_series, monkeypatch):
         counting = CountingMinimize()
         monkeypatch.setattr(whittle, "minimize", counting)
-        fit = rv.estimate(small_sim_series, warn_conditions=False)
+        fit = rv.estimate(small_sim_series)
         assert fit.n_starts == 44
         assert len(counting.x0s) == 2
         assert fit.failures == ()
@@ -487,7 +496,7 @@ class TestStartScreening:
             starts = starts_with_twin(small_sim_series)
         else:
             starts = rv.default_starts(rv.ParamBox(), small_sim_series.delta)
-        rv.estimate(small_sim_series, starts=starts, warn_conditions=False)
+        rv.estimate(small_sim_series, starts=starts)
         order = [(h, lv) for _, h, lv in screened_order(small_sim_series, starts)]
         assert (order[0][0] == order[1][0]) == twin
         first = order[0]
@@ -510,7 +519,7 @@ class TestStartScreening:
         monkeypatch.setattr(rv.WhittleObjective, "value", failing_value)
         counting = CountingMinimize()
         monkeypatch.setattr(whittle, "minimize", counting)
-        fit = rv.estimate(small_sim_series, warn_conditions=False)
+        fit = rv.estimate(small_sim_series)
         assert fit.failures == (f"start {bad_start}: injected screen failure",)
         assert (h_bad, lv_bad) not in counting.x0s
         assert len(counting.x0s) == 2
@@ -519,7 +528,7 @@ class TestStartScreening:
         counting = CountingMinimize(fail_calls={1})
         monkeypatch.setattr(whittle, "minimize", counting)
         starts = starts_with_twin(small_sim_series)
-        fit = rv.estimate(small_sim_series, starts=starts, warn_conditions=False)
+        fit = rv.estimate(small_sim_series, starts=starts)
         order = [(h, lv) for _, h, lv in screened_order(small_sim_series, starts)]
         # the failed start does not count as descended, so the second-ranked
         # start is descended from although it shares the first one's hurst
@@ -529,6 +538,27 @@ class TestStartScreening:
         assert len(fit.failures) == 1
         assert fit.failures[0].endswith(": injected descent failure")
         assert fit.converged
+
+    @pytest.mark.parametrize("stopped", ["loser", "winner"])
+    def test_descent_that_did_not_converge_is_recorded(self, small_sim_series, monkeypatch,
+                                                       stopped):
+        # a descent that stops without converging is named in failures and
+        # stays a candidate: the same descent wins, converged or not
+        counting = CountingMinimize()
+        monkeypatch.setattr(whittle, "minimize", counting)
+        want = rv.estimate(small_sim_series)
+        starts = rv.default_starts(rv.ParamBox(), small_sim_series.delta)
+        start_of = dict(zip(clamped_starts(small_sim_series, starts), starts))
+        descended = [start_of[x0] for x0 in counting.x0s]
+        call = descended.index(want.start_used) + 1
+        if stopped == "loser":
+            call = 3 - call
+        monkeypatch.setattr(whittle, "minimize", CountingMinimize(stop_calls={call}))
+        fit = rv.estimate(small_sim_series)
+        assert want.converged and want.failures == () and len(descended) == 2
+        assert fit == dataclasses.replace(
+            want, converged=stopped == "loser",
+            failures=(f"start {descended[call - 1]}: not converged: injected stop",))
 
     def test_descent_reuses_its_screened_value(self, small_sim_series, monkeypatch):
         # a descent's first point is its screened start: only that one of
@@ -543,7 +573,7 @@ class TestStartScreening:
         monkeypatch.setattr(rv.WhittleObjective, "value", counting_value)
         counting = CountingMinimize()
         monkeypatch.setattr(whittle, "minimize", counting)
-        fit = rv.estimate(small_sim_series, warn_conditions=False)
+        fit = rv.estimate(small_sim_series)
         # each central-difference gradient takes four values
         descents = sum(res.nfev + 4 * res.njev for res in counting.results)
         assert len(calls) == fit.n_starts + descents - len(counting.results)
@@ -561,11 +591,11 @@ class TestStartScreening:
     def test_rejects_series_shorter_than_eight_increments(self, n):
         y = LogRvIncrements(0.3 * differenced_series(n, seed=n), delta=1.0 / 250.0, m=80)
         with pytest.raises(ValueError, match=f"at least 8 increments, got {n}$"):
-            rv.estimate(y, warn_conditions=False)
+            rv.estimate(y)
 
     def test_accepts_eight_increments(self):
         y = LogRvIncrements(0.3 * differenced_series(8, seed=8), delta=1.0 / 250.0, m=80)
-        fit = rv.estimate(y, warn_conditions=False)
+        fit = rv.estimate(y)
         assert rv.ParamBox().h_min <= fit.h_hat <= rv.ParamBox().h_max
 
 
