@@ -61,20 +61,11 @@ def c_h(hurst: float) -> float:
 
 def ell(lam):
     """Spectral density of a differenced unit-variance iid sequence,
-    (1 - cos(lambda)) / pi."""
+    (1 - cos(lambda)) / pi, evaluated as 2 sin^2(lambda/2) / pi, which does
+    not cancel at low frequency."""
     lam = np.asarray(lam, dtype=float)
-    out = (1.0 - np.cos(lam)) / math.pi
+    out = 2.0 * np.sin(0.5 * lam) ** 2 / math.pi
     return float(out) if out.ndim == 0 else out
-
-
-def _cos_deficit_ratio(lam: np.ndarray) -> np.ndarray:
-    """2(1 - cos x)/x^2, evaluated stably near zero (limit 1)."""
-    x2 = lam * lam
-    small = np.abs(lam) < 1e-4
-    exact = np.where(small, 1.0, lam)  # placeholder to avoid 0/0
-    out = 2.0 * (1.0 - np.cos(exact)) / np.where(small, 1.0, x2)
-    series = 1.0 - x2 / 12.0 + x2 * x2 / 360.0
-    return np.where(small, series, out)
 
 
 def _alias_direct(lam1: np.ndarray, k_cut: int, exponent: float) -> np.ndarray:
@@ -103,14 +94,14 @@ class DenseNodes:
     The truncated alias sum is rearranged exactly as an even power series
     in u = lambda / (2 pi): (1+u)^(-s) + (1-u)^(-s) = 2 sum_i
     binom(s+2i-1, 2i) u^(2i) for |u| < 1, whose coefficients involve
-    partial zeta sums over k = 1..K. The grid keeps |lambda|, the
-    cos-deficit factor ratio^2 and lambda^4, the 40 x N powers u^(2i), log k
-    and the K x 40 powers k^(-2i) of the zeta sums, and the logs of the
-    four Paxson tail bases 2 pi K +- lambda and 2 pi (K+1) +- lambda. One
-    density evaluation is then 40 ``gammaln`` coefficients, one
-    K-vector-matrix product, one 40-vector-matrix product, 4N ``exp`` and
-    one power |lambda|^(1-2H). Build one per grid and pass it to
-    :func:`f_h_dense` in place of the frequencies.
+    partial zeta sums over k = 1..K. The grid keeps |lambda|, ratio2 =
+    (2(1 - cos lambda)/lambda^2)^2 = sinc(u)^4 and lambda^4, the 40 x N
+    powers u^(2i), log k and the K x 40 powers k^(-2i) of the zeta sums,
+    and the logs of the four Paxson tail bases 2 pi K +- lambda and
+    2 pi (K+1) +- lambda. One density evaluation is then 40 ``gammaln``
+    coefficients, one K-vector-matrix product, one 40-vector-matrix
+    product, 4N ``exp`` and one power |lambda|^(1-2H). Build one per grid
+    and pass it to :func:`f_h_dense` in place of the frequencies.
     """
 
     def __init__(self, lam, paxson_k: int = SpectralConfig.paxson_k):
@@ -123,7 +114,7 @@ class DenseNodes:
         self.shape = np.shape(lam)
         self.lam1 = lam1
         self.at_origin = bool(np.any(lam1 == 0.0))
-        self.ratio2 = _cos_deficit_ratio(lam1) ** 2
+        self.ratio2 = np.sinc(lam1 / TWO_PI) ** 4
         self.lam4 = lam1**4
         u2 = (lam1 / TWO_PI) ** 2
         self.u_powers = np.empty((_SERIES_TERMS, lam1.size))
@@ -160,7 +151,7 @@ def _density(nodes: DenseNodes, hurst: float, alias_sum):
             "f_h diverges at lambda = 0 for hurst > 1/2; exclude the origin"
         )
     alias = alias_sum(3.0 + 2.0 * hurst)
-    # (2(1-cos))^2 * |lam|^(-3-2H) rewritten as ratio^2 * |lam|^(1-2H) so the
+    # (2(1-cos))^2 * |lam|^(-3-2H) rewritten as ratio2 * |lam|^(1-2H) so the
     # origin is approached without overflow; 0**0 = 1 covers hurst = 1/2.
     out = scale * nodes.ratio2 * (nodes.lam1 ** (1.0 - 2.0 * hurst) + nodes.lam4 * alias)
     return float(out[0]) if nodes.shape == () else out.reshape(nodes.shape)

@@ -420,21 +420,6 @@ def default_starts(box: ParamBox, delta: float) -> list[tuple[float, float]]:
     return starts
 
 
-def _central_gradient(fun, x: np.ndarray) -> np.ndarray:
-    """Central differences in (hurst, log nu); backward in hurst where the
-    forward point would pass hurst = 1, the edge of the density's domain."""
-    grad = np.empty_like(x)
-    for i in range(len(x)):
-        step = 1e-6 * max(abs(x[i]), 1.0)
-        bump = np.zeros_like(x)
-        bump[i] = step
-        if i == 0 and x[0] + step > 1.0:
-            grad[i] = (fun(x) - fun(x - bump)) / step
-        else:
-            grad[i] = (fun(x + bump) - fun(x - bump)) / (2.0 * step)
-    return grad
-
-
 def estimate(
     y: LogRvIncrements,
     box: ParamBox | None = None,
@@ -452,8 +437,9 @@ def estimate(
     or ends non-finite goes into ``failures`` and the walk moves on; a
     descent that stops without converging goes there too but stays a
     candidate. Descents run in (hurst, log nu) with bounded L-BFGS-B and
-    central-difference gradients; the lowest minimum wins, ties by smaller
-    hurst, then smaller nu. The diffusion estimate is eta = nu *
+    its own three-point difference gradients, one-sided within a step of a
+    bound, so no evaluation leaves the box; the lowest minimum wins, ties
+    by smaller hurst, then smaller nu. The diffusion estimate is eta = nu *
     delta**(-hurst). ``nu_bounds`` overrides the box-derived nu range when
     the two parameter scales are managed externally.
     """
@@ -511,7 +497,7 @@ def estimate(
             res = minimize(
                 fun,
                 np.array([h0, log_nu0]),
-                jac=lambda x: _central_gradient(fun, x),
+                jac="3-point",
                 method="L-BFGS-B",
                 bounds=bounds,
                 options=options,

@@ -190,21 +190,38 @@ REFERENCES = (
     "correction_a2",  # test_acceptance.py::test_criterion_3_correction_oracles
     "simulate_fgn",  # test_acceptance.py::test_criterion_9_fgn_acf
     "compute_m",  # test_ingest.py::TestComputeM
+    "objective",  # test_acceptance.py::test_criterion_4_objective_equivalence
 )
+
+
+def imported_names(tree: ast.Module) -> set:
+    """Names an ``import`` or ``from ... import`` binds in the module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names)
+    return names
 
 
 def uncalled_exports(exports, sources: dict) -> list[str]:
     """Names in ``exports`` that no source in ``sources`` (module name ->
-    text) reads, imports or accesses as an attribute outside the top-level
-    definition of that name."""
+    text) reads, imports or accesses as an attribute of an imported name
+    outside the top-level definition of that name. An attribute of any
+    other object, such as ``fit.objective``, is not a use of the export
+    ``objective``."""
     used = set()
     for source in sources.values():
-        for statement in ast.parse(source).body:
+        tree = ast.parse(source)
+        modules = imported_names(tree)
+        for statement in tree.body:
             names = set()
             for node in ast.walk(statement):
                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     names.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                        and node.value.id in modules:
                     names.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name)
@@ -218,7 +235,8 @@ def test_detects_uncalled_exports():
         "a": ("def walk(n):\n    return walk(n - 1)\n"
               "class Box:\n    def copy(self):\n        return Box()\n"
               "LIMIT = 8\n"),
-        "b": "from a import Box\nimport a\ndef run():\n    return Box, a.LIMIT\n",
+        # fit.walk is an attribute that shares the export's name, not a call of it
+        "b": "from a import Box\nimport a\ndef run(fit):\n    return Box, a.LIMIT, fit.walk\n",
     }
     assert uncalled_exports(["walk", "Box", "LIMIT", "run"], sources) == ["walk", "run"]
 

@@ -184,6 +184,19 @@ class TestEll:
         assert total == pytest.approx(2.0, abs=1e-10)
 
 
+def test_low_frequency_factors_match_their_taylor_series():
+    # 2(1 - cos x)/x^2 = 1 - x^2/12 + x^4/360 - x^6/20160 + O(x^8), exact to
+    # double precision for x <= 1e-2; forming 1 - cos x directly loses
+    # digits to cancellation there, down to the cut frequency psi = 1e-5
+    lam = np.geomspace(1e-5, 1e-2, 500)
+    x2 = lam * lam
+    ratio = 1.0 - x2 / 12.0 + x2 * x2 / 360.0 - x2 * x2 * x2 / 20160.0
+    ratio2 = rv.DenseNodes(lam).ratio2
+    assert np.max(np.abs(ratio2 - ratio**2) / ratio**2) <= 2e-15
+    ell_series = x2 / TWO_PI * ratio
+    assert np.max(np.abs(rv.ell(lam) - ell_series) / ell_series) <= 2e-15
+
+
 class TestGSpectrum:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="nu must be positive"):

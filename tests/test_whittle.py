@@ -134,12 +134,25 @@ def exhaustive_estimate(y):
     bounds = [(box.h_min, box.h_max), (math.log(lo), math.log(hi))]
     results = []
     for x0 in clamped_starts(y, rv.default_starts(box, y.delta)):
-        res = minimize(fun, np.array(x0), jac=lambda x: whittle._central_gradient(fun, x),
-                       method="L-BFGS-B", bounds=bounds,
+        res = minimize(fun, np.array(x0), jac="3-point", method="L-BFGS-B", bounds=bounds,
                        options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-8})
         results.append((float(res.fun), float(res.x[0]), math.exp(float(res.x[1])),
                         bool(res.success)))
     return min(results, key=lambda r: r[:3])
+
+
+def record_values(monkeypatch):
+    """Wraps ``WhittleObjective.value`` for the test; returns the list of
+    the (hurst, nu) it is called at, in call order."""
+    calls = []
+    value = rv.WhittleObjective.value
+
+    def counting_value(self, hurst, nu):
+        calls.append((hurst, nu))
+        return value(self, hurst, nu)
+
+    monkeypatch.setattr(rv.WhittleObjective, "value", counting_value)
+    return calls
 
 
 class CountingMinimize:
@@ -447,6 +460,17 @@ class TestEstimate:
         assert fit.start_used == (1.0, 0.5)
         assert box.h_min <= fit.h_hat <= box.h_max
 
+    def test_gradient_stencil_stays_inside_the_box(self, small_sim_series, monkeypatch):
+        # a start on a lower hurst bound within one stencil step of 0: a
+        # central difference would evaluate hurst < 0 and fail every start
+        box = rv.ParamBox(h_min=1e-7)
+        calls = record_values(monkeypatch)
+        fit = rv.estimate(small_sim_series, box=box, starts=[(1e-7, 0.5)])
+        assert fit.failures == ()
+        lo, hi = box.nu_bounds(small_sim_series.delta)
+        assert all(box.h_min <= h <= box.h_max for h, _ in calls)
+        assert all(lo * (1 - 1e-12) <= nu <= hi * (1 + 1e-12) for _, nu in calls)
+
     def test_default_fit_reproduces_recorded_estimate(self):
         # Recorded from this fit before the density and the a2 correction
         # were rearranged to reuse their (hurst, nu)-independent parts; the
@@ -563,19 +587,12 @@ class TestStartScreening:
     def test_descent_reuses_its_screened_value(self, small_sim_series, monkeypatch):
         # a descent's first point is its screened start: only that one of
         # its objective values is not computed again
-        calls = []
-        value = rv.WhittleObjective.value
-
-        def counting_value(self, hurst, nu):
-            calls.append((hurst, nu))
-            return value(self, hurst, nu)
-
-        monkeypatch.setattr(rv.WhittleObjective, "value", counting_value)
+        calls = record_values(monkeypatch)
         counting = CountingMinimize()
         monkeypatch.setattr(whittle, "minimize", counting)
         fit = rv.estimate(small_sim_series)
-        # each central-difference gradient takes four values
-        descents = sum(res.nfev + 4 * res.njev for res in counting.results)
+        # scipy's nfev counts the gradient stencils' values too
+        descents = sum(res.nfev for res in counting.results)
         assert len(calls) == fit.n_starts + descents - len(counting.results)
 
     @pytest.mark.parametrize("seed", [2024, 1, 2])
