@@ -7,10 +7,10 @@ weighted by 2/m. The periodogram follows the t = 1..n index convention
 and is evaluated at arbitrary frequencies by a Goertzel recurrence.
 
 The production density :func:`f_h_dense` works on a :class:`DenseNodes`,
-a node set that holds everything the density needs that does not depend
-on hurst; a caller that evaluates many hurst values on one grid (the
-objective's quadrature levels) builds it once, and a plain array of
-frequencies gets a node set built per call. :func:`f_h` sums the alias
+a node set of frequency arrays holding everything the density needs that
+does not depend on hurst; a caller that evaluates many hurst values on one
+grid (the objective's quadrature levels) builds it once, and a plain array
+of frequencies gets a node set built per call. :func:`f_h` sums the alias
 series directly and is the reference the tests hold it to.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.special import gammaln
+from scipy.special import gammaln, zeta
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,19 +89,20 @@ _TWO_I = 2.0 * np.arange(_SERIES_TERMS, dtype=float)
 
 class DenseNodes:
     """A fixed frequency grid holding every part of the density that does
-    not depend on hurst.
+    not depend on hurst: arrays of the frequencies only.
 
-    The truncated alias sum is rearranged exactly as an even power series
-    in u = lambda / (2 pi): (1+u)^(-s) + (1-u)^(-s) = 2 sum_i
-    binom(s+2i-1, 2i) u^(2i) for |u| < 1, whose coefficients involve
-    partial zeta sums over k = 1..K. The grid keeps |lambda|, ratio2 =
-    (2(1 - cos lambda)/lambda^2)^2 = sinc(u)^4 and lambda^4, the 40 x N
-    powers u^(2i), log k and the K x 40 powers k^(-2i) of the zeta sums,
-    and the logs of the four Paxson tail bases 2 pi K +- lambda and
-    2 pi (K+1) +- lambda. One density evaluation is then 40 ``gammaln``
-    coefficients, one K-vector-matrix product, one 40-vector-matrix
-    product, 4N ``exp`` and one power |lambda|^(1-2H). Build one per grid
-    and pass it to :func:`f_h_dense` in place of the frequencies.
+    The truncated alias sum and its Paxson tail are rearranged exactly as
+    one even power series in u = lambda / (2 pi). Each pair of terms
+    expands by the binomial series (2 pi k + lambda)^(-s) + (2 pi k -
+    lambda)^(-s) = 2 (2 pi k)^(-s) sum_i binom(s+2i-1, 2i) (u/k)^(2i) for
+    |u| < k; over k = 1..K these give partial zeta sums, and the tail
+    terms (exponent s - 1 at k = K and K + 1) give two powers each, so the
+    40 coefficients depend on (H, K) only. The grid keeps |lambda|, ratio2
+    = (2(1 - cos lambda)/lambda^2)^2 = sinc(u)^4, lambda^4 and the 40 x N
+    powers u^(2i); none of them grows with K. One density evaluation is
+    then 40 coefficients from ``gammaln`` and ``zeta``, one
+    40-vector-matrix product and one power |lambda|^(1-2H). Build one per
+    grid and pass it to :func:`f_h_dense` in place of the frequencies.
     """
 
     def __init__(self, lam, paxson_k: int = SpectralConfig.paxson_k):
@@ -121,24 +122,18 @@ class DenseNodes:
         self.u_powers[0] = 1.0
         for i in range(1, _SERIES_TERMS):
             np.multiply(self.u_powers[i - 1], u2, out=self.u_powers[i])
-        k = np.arange(1, paxson_k + 1, dtype=float)
-        self.log_k = np.log(k)
-        self.k_powers = k[:, None] ** (-_TWO_I)
-        bases = TWO_PI * np.array([paxson_k, paxson_k, paxson_k + 1, paxson_k + 1])
-        signs = np.array([1.0, -1.0, 1.0, -1.0])
-        self.tail_logs = np.log(bases[:, None] + signs[:, None] * lam1)
 
     def alias_sum(self, exponent: float) -> np.ndarray:
         """The truncated alias sum at ``exponent`` = 3 + 2H plus its
-        trapezoid-style tail, from the stored powers and logs."""
-        log_coef = gammaln(exponent + _TWO_I) - gammaln(_TWO_I + 1.0) - gammaln(exponent)
-        zeta_partial = np.exp(-exponent * self.log_k) @ self.k_powers
-        alias = (np.exp(log_coef) * zeta_partial) @ self.u_powers
-        alias *= 2.0 * TWO_PI ** (-exponent)
-        s2 = exponent - 1.0  # tail integrals have exponent -(2+2H)
-        tail = np.exp(-s2 * self.tail_logs)
-        alias += 0.5 * (1.0 / (TWO_PI * s2)) * ((tail[0] + tail[1]) + (tail[2] + tail[3]))
-        return alias
+        trapezoid-style tail, as one power series in the stored u^(2i)."""
+        k_cut, s2 = self.paxson_k, exponent - 1.0  # tail integrals: exponent -(2+2H)
+        powers, tail_powers = exponent + _TWO_I, s2 + _TWO_I
+        binom = np.exp(gammaln(powers) - gammaln(_TWO_I + 1.0) - gammaln(exponent))
+        tail_binom = np.exp(gammaln(tail_powers) - gammaln(_TWO_I + 1.0) - gammaln(s2))
+        zeta_partial = zeta(powers) - zeta(powers, k_cut + 1.0)  # sum_{k<=K} k^(-powers)
+        tail = (k_cut ** -tail_powers + (k_cut + 1.0) ** -tail_powers) / s2
+        coef = 2.0 * binom * zeta_partial + tail_binom * tail
+        return TWO_PI ** (-exponent) * coef @ self.u_powers
 
 
 def _density(nodes: DenseNodes, hurst: float, alias_sum):

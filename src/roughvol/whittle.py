@@ -41,6 +41,8 @@ _MIN_INCREMENTS = 8
 # Lower end of the objective_oracle integral.
 _ORACLE_EPS = 1e-9
 _TRUNCATION_WARN_LEVEL = 1e-10
+# Largest log_lead whose exp is finite; past it the bound saturates to inf.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -170,7 +172,8 @@ def _weighted_a(
     if tau_max > 0.0:
         # The first omitted term times half the leading-order mass of 1/g.
         log_lead = (2 * taylor_j + 1) * math.log(tau_max * psi) - math.lgamma(2 * taylor_j + 2)
-        bound = math.exp(log_lead) * 0.5 * (max(float(bracket[0]), 0.0) / denom)
+        lead = math.exp(log_lead) if log_lead < _LOG_FLOAT_MAX else math.inf
+        bound = lead * 0.5 * (max(float(bracket[0]), 0.0) / denom)
         if bound > _TRUNCATION_WARN_LEVEL:
             warnings.warn(
                 f"low-frequency series truncated at {taylor_j} terms has error "

@@ -126,6 +126,16 @@ class TestDenseNodes:
                 )
                 assert np.max(np.abs(fast - direct) / direct) < 1e-12
 
+    @pytest.mark.parametrize("paxson_k", [1, 2, 7])
+    def test_small_truncation_matches_direct_sum(self, paxson_k):
+        # K = 1 at lambda = pi puts the tail base 2 pi K - lambda at half its
+        # size, where the folded tail series converges slowest.
+        lam = np.concatenate([np.geomspace(1e-6, 1.0, 200), np.linspace(1.0, math.pi, 200)])
+        for hurst in NODE_SET_HURSTS + (1.0,):
+            fast = rv.f_h_dense(lam, hurst, paxson_k)
+            direct = rv.f_h(lam, hurst, paxson_k)
+            assert np.max(np.abs(fast - direct) / direct) <= 1e-12
+
     def test_reuse_across_hurst_matches_fresh_calls(self):
         lam = np.linspace(1e-6, math.pi, 257)
         node_set = rv.DenseNodes(lam)

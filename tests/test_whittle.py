@@ -362,6 +362,12 @@ class TestObjective:
         with pytest.warns(AccuracyWarning, match="lags up to 2499"):
             rv.WhittleObjective(y, short_series).value(0.1, 0.6)
 
+    def test_hopeless_truncation_bound_saturates_and_warns(self):
+        # (n - 1) * psi = 7,494 puts the bound's exp far past the float range.
+        y = LogRvIncrements(differenced_series(2499, seed=3), delta=1.0 / 250.0, m=80)
+        with pytest.warns(AccuracyWarning, match="error bound inf"):
+            rv.objective(y, 0.3, 1.0, rv.SpectralConfig(psi=3.0, taylor_j=100))
+
     def test_no_truncation_warning_at_defaults(self, recwarn):
         y = LogRvIncrements(differenced_series(2500, seed=3), delta=1.0 / 250.0, m=80)
         rv.WhittleObjective(y, CFG).value(0.1, 0.6)
