@@ -141,17 +141,14 @@ def _add_rv_flags(parser) -> None:
     """The input flags of the commands that read a realized-variance CSV."""
     parser.add_argument("--rv", required=True, help="realized-variance CSV")
     parser.add_argument("--column", default=RV_COLUMN, help="value column name" + _DEFAULT)
-    parser.add_argument("--date-column", default=DATE_COLUMN, help="date column name" + _DEFAULT)
     parser.add_argument("--delta", type=float, default=DEFAULT_DELTA,
                         help="day length in years" + _DEFAULT)
 
 
-def _read_rv(args, strict: bool = False):
+def _read_rv(args, m: int, date_column: str = DATE_COLUMN, strict: bool = False):
     _require_file(args.rv)
-    return read_rv_csv(
-        args.rv, m=args.m, delta=args.delta,
-        column=args.column, date_column=args.date_column, strict=strict,
-    )
+    return read_rv_csv(args.rv, m=m, delta=args.delta, column=args.column,
+                       date_column=date_column, strict=strict)
 
 
 def build_parser() -> _Parser:
@@ -198,7 +195,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scaling",
                        help="structure-function regressions on realized volatility")
     _add_rv_flags(p)
-    p.add_argument("--m", type=int, default=1, help="intraday count metadata" + _DEFAULT)
     p.add_argument("--qs", type=_float_tuple, default=_show(DEFAULT_QS),
                    help="comma-separated moments" + _DEFAULT)
     p.add_argument("--lags", type=_parse_lags, default=f"{DEFAULT_LAGS[0]}:{DEFAULT_LAGS[-1]}",
@@ -251,6 +247,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ingest-check",
                        help="validate and canonicalize a realized-variance CSV")
     _add_rv_flags(p)
+    p.add_argument("--date-column", default=DATE_COLUMN, help="date column name" + _DEFAULT)
     p.add_argument("--m", type=int, required=True, help="intraday count metadata")
     p.add_argument("--strict", action="store_true", help="fail if any row must be dropped")
     p.add_argument("--out", default=None, help="canonical date,rv CSV output path")
@@ -290,7 +287,7 @@ def _read_starts(path: str) -> list[tuple[float, float]]:
 def _cmd_estimate(args) -> int:
     box = _from_field_flags(ParamBox, args)
     config = _from_field_flags(SpectralConfig, args)
-    rv, _report = _read_rv(args)
+    rv, _report = _read_rv(args, args.m)
     y = log_rv_increments(rv)
     starts = _read_starts(args.starts) if args.starts else None
     sys.stderr.writelines(f"warning: {message}\n"
@@ -322,7 +319,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    rv, _report = _read_rv(args)
+    rv, _report = _read_rv(args, 1)  # fit_scaling reads no m
     log_vol = 0.5 * np.log(rv.values)  # variance series in, volatility out
     fit = fit_scaling(log_vol, qs=args.qs, lags=args.lags)
     rows = [
@@ -437,7 +434,7 @@ def _cmd_zscore(args) -> int:
 
 
 def _cmd_ingest_check(args) -> int:
-    rv, report = _read_rv(args, strict=args.strict)
+    rv, report = _read_rv(args, args.m, args.date_column, args.strict)
     if args.out:
         write_csv(args.out, [DATE_COLUMN, RV_COLUMN], zip(report.kept_dates, rv.values))
     reasons = ", ".join(f"{k}={v}" for k, v in sorted(report.reasons.items())) or "none"

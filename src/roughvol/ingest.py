@@ -171,7 +171,7 @@ def read_rv_csv(
             if _blank(row):
                 continue
             rows_read += 1
-            if value_index >= len(row):
+            if max(value_index, date_index or 0) >= len(row):
                 raise IngestError(f"{path}: line {lineno}: too few columns")
             cell = row[value_index].strip()
             date = row[date_index].strip() if date_index is not None else str(rows_read)

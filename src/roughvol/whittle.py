@@ -35,14 +35,15 @@ from .spectral import (
 _MAX_REFINEMENTS = 4
 # Successful L-BFGS-B descents per fit, from the best-screened starts.
 _DESCENTS = 2
+# Minima this close (relative) are one optimum; the earliest descent in
+# walk order wins. Ties differ by ulps, distinct nearby minima by ~4e-12.
+_TIE_RTOL = 1e-13
 # Shortest increment series estimate accepts; the panel-width cap of the
 # objective's quadrature grid treats shorter series as this long.
 _MIN_INCREMENTS = 8
 # Lower end of the objective_oracle integral.
 _ORACLE_EPS = 1e-9
 _TRUNCATION_WARN_LEVEL = 1e-10
-# Largest log_lead whose exp is finite; past it the bound saturates to inf.
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 _GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -131,15 +132,28 @@ def _lag_moments(taus: np.ndarray, weights: np.ndarray, psi: float, taylor_j: in
     """M_j = sum_tau w_tau (-1)^j (tau psi)^(2j) / (2j)!, j = 0..taylor_j: the
     part of the weighted low-frequency sum that does not depend on (hurst, nu).
 
-    Powers are grouped as (tau*psi)^(2j) / (2j)! so large lags cannot overflow.
+    The one accuracy check of the correction series: warns with
+    :class:`AccuracyWarning` when the relative truncation bound
+    (tau_max psi)^(2 taylor_j + 1) / (2 taylor_j + 1)! exceeds
+    ``_TRUNCATION_WARN_LEVEL`` or when a moment overflows to non-finite.
     """
     x = (taus * psi) ** 2
     moments = np.empty(taylor_j + 1)
     power = np.ones_like(x)  # (-1)^j (tau psi)^(2j) / (2j)!
-    for jj in range(taylor_j + 1):
-        if jj > 0:
-            power = power * (-x) / ((2.0 * jj - 1.0) * (2.0 * jj))
-        moments[jj] = weights @ power
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite moment
+        for jj in range(taylor_j + 1):
+            if jj > 0:
+                power = power * (-x) / ((2.0 * jj - 1.0) * (2.0 * jj))
+            moments[jj] = weights @ power
+        tau_max = float(np.max(taus))
+        log_lead = (2 * taylor_j + 1) * np.log(tau_max * psi) - math.lgamma(2 * taylor_j + 2)
+        bound = float(np.exp(log_lead))
+    bad = int(np.count_nonzero(~np.isfinite(moments)))
+    if bound > _TRUNCATION_WARN_LEVEL or bad:
+        warnings.warn(f"low-frequency series truncated at {taylor_j} terms has relative error "
+                      f"bound {bound:.3e} for lags up to {int(tau_max)} ({len(taus)} lags, "
+                      f"psi={psi:g}, {bad} non-finite moments); increase taylor_j or decrease psi",
+                      AccuracyWarning, stacklevel=3)
     return moments
 
 
@@ -151,16 +165,13 @@ def _autocovariance_moments(gamma_hat: np.ndarray, psi: float, taylor_j: int) ->
     return _lag_moments(np.arange(len(gamma_hat), dtype=float), weights, psi, taylor_j)
 
 
-def _weighted_a(
-    hurst: float, nu: float, psi: float, m: int, moments: np.ndarray, tau_max: float
-) -> float:
+def _weighted_a(hurst: float, nu: float, psi: float, m: int, moments: np.ndarray) -> float:
     """sum_tau w_tau a_tau for the lag weights behind ``moments``.
 
     Each a_tau approximates (1/2pi) * integral_0^psi cos(tau * lam) / g(lam)
     dlam through the expansion of 1/g near zero, summed to taylor_j =
     len(moments) - 1 cosine terms; only the coefficients ``bracket`` depend on
-    (hurst, nu). Warns with :class:`AccuracyWarning` when the truncation error
-    bound, uniform in tau <= ``tau_max``, exceeds ``_TRUNCATION_WARN_LEVEL``.
+    (hurst, nu). :func:`_lag_moments` checks the truncation.
     """
     taylor_j = len(moments) - 1
     denom = nu * nu * c_h(hurst)
@@ -169,19 +180,6 @@ def _weighted_a(
     bracket -= psi ** (1.0 + 4.0 * hurst) / (
         denom * m * math.pi * (1.0 + 2.0 * j + 4.0 * hurst)
     )
-    if tau_max > 0.0:
-        # The first omitted term times half the leading-order mass of 1/g.
-        log_lead = (2 * taylor_j + 1) * math.log(tau_max * psi) - math.lgamma(2 * taylor_j + 2)
-        lead = math.exp(log_lead) if log_lead < _LOG_FLOAT_MAX else math.inf
-        bound = lead * 0.5 * (max(float(bracket[0]), 0.0) / denom)
-        if bound > _TRUNCATION_WARN_LEVEL:
-            warnings.warn(
-                f"low-frequency series truncated at {taylor_j} terms has error "
-                f"bound {bound:.3e} for lags up to {int(tau_max)}; increase taylor_j "
-                "or decrease psi",
-                AccuracyWarning,
-                stacklevel=3,
-            )
     return float(bracket @ moments) / (TWO_PI * denom)
 
 
@@ -196,7 +194,7 @@ def a_coefficient(
     if taylor_j < 0:
         raise ValueError("taylor_j must be >= 0")
     moments = _lag_moments(np.asarray([float(tau)]), np.ones(1), psi, taylor_j)
-    return _weighted_a(hurst, nu, psi, m, moments, float(tau))
+    return _weighted_a(hurst, nu, psi, m, moments)
 
 
 def correction_a1(hurst: float, nu: float, psi: float, m: int) -> float:
@@ -231,7 +229,7 @@ def correction_a2(
     if gamma_hat.ndim != 1 or len(gamma_hat) < 1:
         raise ValueError("gamma_hat must be a nonempty 1-d sequence")
     moments = _autocovariance_moments(gamma_hat, psi, taylor_j)
-    return _weighted_a(hurst, nu, psi, m, moments, float(len(gamma_hat) - 1)) / TWO_PI
+    return _weighted_a(hurst, nu, psi, m, moments) / TWO_PI
 
 
 def _panel_breakpoints(lo: float, hi: float, growth: float, width_cap: float) -> np.ndarray:
@@ -314,7 +312,7 @@ class WhittleObjective:
         """Objective mass below the cut frequency: a1 + a2."""
         psi = self.config.psi
         a1 = correction_a1(hurst, nu, psi, self.m)
-        return a1 + _weighted_a(hurst, nu, psi, self.m, self._a2_moments, float(self.n - 1)) / TWO_PI
+        return a1 + _weighted_a(hurst, nu, psi, self.m, self._a2_moments) / TWO_PI
 
     def value(self, hurst: float, nu: float) -> float:
         _validate_point(hurst, nu)
@@ -431,7 +429,7 @@ def estimate(
     nu_bounds: tuple[float, float] | None = None,
 ) -> WhittleFit:
     """Screen every start with one objective value, descend from the best
-    and keep the lowest minimum.
+    and keep the lowest minimum, ties to the better-screened start.
 
     Starts are clamped into the box, evaluated once and walked best first
     (ties by smaller hurst, then smaller nu); a start is descended from
@@ -441,8 +439,11 @@ def estimate(
     descent that stops without converging goes there too but stays a
     candidate. Descents run in (hurst, log nu) with bounded L-BFGS-B and
     its own three-point difference gradients, one-sided within a step of a
-    bound, so no evaluation leaves the box; the lowest minimum wins, ties
-    by smaller hurst, then smaller nu. The diffusion estimate is eta = nu *
+    bound, so no evaluation leaves the box. The fit is the first descent in
+    walk order whose minimum is within ``_TIE_RTOL`` relative of the
+    lowest, so when descents reach the same optimum the better-screened
+    start supplies (h_hat, nu_hat) and ``start_used``, whatever the last
+    ulp of each minimum. The diffusion estimate is eta = nu *
     delta**(-hurst). ``nu_bounds`` overrides the box-derived nu range when
     the two parameter scales are managed externally.
     """
@@ -525,8 +526,10 @@ def estimate(
             + "\n  ".join(failures)
         )
 
-    best = min(candidates, key=lambda c: (c[0], c[1], c[2]))
-    obj_val, h_hat, nu_hat, converged, start_used = best
+    lowest = min(c[0] for c in candidates)
+    obj_val, h_hat, nu_hat, converged, start_used = next(
+        c for c in candidates if c[0] - lowest <= _TIE_RTOL * abs(lowest)
+    )
     eta_hat = nu_hat * y.delta ** (-h_hat)
     return WhittleFit(
         h_hat=h_hat,

@@ -401,6 +401,16 @@ class TestExitCodes:
             "(0.5, 200) the method is designed for\n"
             "error: estimate needs at least 8 increments, got 3\n")
 
+    @pytest.mark.parametrize("sub", [["estimate", "--m", 78], ["scaling"],
+                                     ["ingest-check", "--m", 78]])
+    def test_short_row_exits_one(self, sub, tmp_path, capsys):
+        series = tmp_path / "rv.csv"
+        series.write_text("rv,date\n1e-4,2020-01-02\n2e-4\n3e-4,2020-01-06\n")
+        out = tmp_path / "out.csv"
+        assert run(sub + ["--rv", series, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {series}: line 3: too few columns\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("sub", [["mc"], ["illusion", "--days", 10]])
     def test_zero_workers_rejected_by_the_library(self, sub, tmp_path, capsys):
         code = run(sub + ["--seed", 1, "--workers", 0, "--out", tmp_path / "out.csv"])

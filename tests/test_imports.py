@@ -1,8 +1,8 @@
 """Static checks on the package source: every import is used, no module
 keeps state of its own between calls, no handler only re-labels the
 exception it caught, every private top-level name is used, only the
-command line prints, and every exported name has a caller in the package
-or is a listed reference implementation."""
+command line prints, only ``_lag_moments`` warns, and every exported name
+has a caller in the package or is a listed reference implementation."""
 
 import ast
 import re
@@ -180,6 +180,33 @@ def test_detects_printing():
                          ids=lambda p: p.name)
 def test_only_cli_prints(module):
     assert printing(module.read_text()) == []
+
+
+def warning_sites(source: str) -> list[str]:
+    """Calls of ``warnings.warn`` or a bare ``warn``, each named by the
+    top-level function or class that makes it."""
+    found = []
+    for statement in ast.parse(source).body:
+        owner = getattr(statement, "name", "<module>")
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in {"warnings.warn", "warn"}:
+                found.append(f"{owner} (line {node.lineno})")
+    return found
+
+
+def test_detects_warning_sites():
+    source = ("import warnings\nfrom warnings import warn\n"
+              "def check(x):\n    warnings.warn('x')\n"
+              "class Fit:\n    def run(self):\n        warn('y')\n"
+              "warnings.warn('z')\nwarnings.simplefilter('ignore')\n")
+    assert warning_sites(source) == ["check (line 4)", "Fit (line 7)", "<module> (line 8)"]
+
+
+def test_only_lag_moments_warns():
+    # the correction series' accuracy is checked once, where its moments are built
+    sites = [f"{p.name}: {site.partition(' (')[0]}" for p in sorted(PACKAGE.glob("*.py"))
+             for site in warning_sites(p.read_text())]
+    assert sites == ["whittle.py: _lag_moments"]
 
 
 # Exported names that no package code calls: reference implementations the

@@ -67,6 +67,12 @@ class TestReadRvCsv:
         with pytest.raises(IngestError, match="line 3"):
             rv.read_rv_csv(target, m=78)
 
+    def test_row_shorter_than_date_column_is_parse_error(self, tmp_path):
+        target = tmp_path / "rv.csv"
+        target.write_text("rv,date\n1e-4,2020-01-02\n2e-4\n3e-4,2020-01-06\n")
+        with pytest.raises(IngestError, match="line 3: too few columns"):
+            rv.read_rv_csv(target, m=78)
+
     def test_missing_column(self, tmp_path):
         target = tmp_path / "rv.csv"
         target.write_text("date,vol\n1,1e-4\n")

@@ -9,6 +9,7 @@ integrand.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,21 @@ class CountingMinimize:
         if len(self.x0s) in self.stop_calls:
             res.success, res.message = False, "injected stop"
         self.results.append(res)
+        return res
+
+
+class MovedMinimize(CountingMinimize):
+    """Stands in for ``whittle.minimize``: moves the second descent's minimum
+    to ``move(first minimum)`` and reports that descent as not converged."""
+
+    def __init__(self, move):
+        super().__init__(stop_calls={2})
+        self.move = move
+
+    def __call__(self, fun, x0, **kwargs):
+        res = super().__call__(fun, x0, **kwargs)
+        if len(self.results) == 2:
+            res.fun = self.move(self.results[0].fun)
         return res
 
 
@@ -372,6 +388,25 @@ class TestObjective:
         y = LogRvIncrements(differenced_series(2500, seed=3), delta=1.0 / 250.0, m=80)
         rv.WhittleObjective(y, CFG).value(0.1, 0.6)
         assert not [w for w in recwarn if issubclass(w.category, AccuracyWarning)]
+
+    def test_overflowing_moments_warn_once_without_numpy_warnings(self):
+        y = LogRvIncrements(differenced_series(2499, seed=3), delta=1.0 / 250.0, m=80)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            rv.objective(y, 0.3, 1.0, rv.SpectralConfig(psi=3.0, taylor_j=100))
+        assert [w.category for w in caught] == [AccuracyWarning]
+        assert "(2499 lags, psi=3, " in str(caught[0].message)
+
+    def test_workspace_checks_truncation_once(self):
+        # the check depends on (n, psi, taylor_j) only, not on (hurst, nu)
+        y = LogRvIncrements(differenced_series(2500, seed=3), delta=1.0 / 250.0, m=80)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            workspace = rv.WhittleObjective(y, rv.SpectralConfig(psi=1e-3, taylor_j=3))
+            for hurst, nu in ((0.1, 0.6), (0.3, 1.0), (0.5, 2.0)):
+                workspace.value(hurst, nu)
+        assert [w.category for w in caught] == [AccuracyWarning]
 
     def test_corrections_are_a1_plus_a2(self, small_sim_series):
         workspace = rv.WhittleObjective(small_sim_series, CFG)
@@ -589,6 +624,27 @@ class TestStartScreening:
         assert fit == dataclasses.replace(
             want, converged=stopped == "loser",
             failures=(f"start {descended[call - 1]}: not converged: injected stop",))
+
+    @pytest.mark.parametrize("move", [
+        lambda f: np.nextafter(f, -np.inf),
+        lambda f: f - 1e-14 * abs(f),
+    ], ids=["one_ulp", "1e-14_relative"])
+    def test_tied_descent_does_not_take_the_fit(self, small_sim_series, monkeypatch, move):
+        # a later descent that reached the same optimum a few ulps lower, and
+        # stopped without converging, leaves the fit to the better-screened one
+        want = rv.estimate(small_sim_series)
+        monkeypatch.setattr(whittle, "minimize", MovedMinimize(move))
+        fit = rv.estimate(small_sim_series)
+        assert (fit.start_used, fit.h_hat, fit.converged) == (want.start_used, want.h_hat, True)
+
+    def test_distinctly_lower_descent_takes_the_fit(self, small_sim_series, monkeypatch):
+        want = rv.estimate(small_sim_series)
+        moved = MovedMinimize(lambda f: f - 1e-12 * abs(f))
+        monkeypatch.setattr(whittle, "minimize", moved)
+        fit = rv.estimate(small_sim_series)
+        second = moved.results[1]
+        assert (fit.objective, fit.h_hat, fit.converged) == (second.fun, second.x[0], False)
+        assert fit.start_used != want.start_used
 
     def test_descent_reuses_its_screened_value(self, small_sim_series, monkeypatch):
         # a descent's first point is its screened start: only that one of
