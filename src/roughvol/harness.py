@@ -4,9 +4,7 @@ comparison, and proxy-error z-score checks.
 Every path seed derives from a stable mix of the base seed, the cell
 parameters and the path index, so results are reproducible bit for bit,
 adding grid cells never perturbs existing ones, and worker-pool scheduling
-cannot change any number. Bit for bit holds at a fixed BLAS thread count
-only: OpenBLAS's threaded products round differently with another count
-(ROADMAP item 1).
+cannot change any number, nor can the BLAS thread count.
 
 Functions here return records, failure reasons included; only ``cli`` prints.
 """

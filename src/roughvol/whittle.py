@@ -13,6 +13,7 @@ parametrization nu = eta * delta**hurst and back-transforms at the end.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -33,10 +34,14 @@ from .spectral import (
 )
 
 _MAX_REFINEMENTS = 4
+# Densities a workspace keeps, keyed by (level, hurst): enough for the three
+# hurst values of one L-BFGS-B gradient stencil at quadrature levels 0 and 1.
+_DENSITY_CACHE = 6
 # Successful L-BFGS-B descents per fit, from the best-screened starts.
 _DESCENTS = 2
 # Minima this close (relative) are one optimum; the earliest descent in
 # walk order wins. Ties differ by ulps, distinct nearby minima by ~4e-12.
+# A stopped line search with this little decrease left has converged too.
 _TIE_RTOL = 1e-13
 # Shortest increment series estimate accepts; the panel-width cap of the
 # objective's quadrature grid treats shorter series as this long.
@@ -99,7 +104,8 @@ class WhittleFit:
     ``failures`` holds one message per start whose screen or descent raised
     or ended non-finite, including starts that did not produce the fit, and
     one per descent that stopped without converging; such a descent still
-    competes for the fit.
+    competes for the fit. ``converged`` is the winning descent's, as
+    ``_converged`` decides it.
     """
 
     h_hat: float
@@ -136,6 +142,7 @@ def _lag_moments(taus: np.ndarray, weights: np.ndarray, psi: float, taylor_j: in
     :class:`AccuracyWarning` when the relative truncation bound
     (tau_max psi)^(2 taylor_j + 1) / (2 taylor_j + 1)! exceeds
     ``_TRUNCATION_WARN_LEVEL`` or when a moment overflows to non-finite.
+    The warning names the first calling line outside the package.
     """
     x = (taus * psi) ** 2
     moments = np.empty(taylor_j + 1)
@@ -144,16 +151,19 @@ def _lag_moments(taus: np.ndarray, weights: np.ndarray, psi: float, taylor_j: in
         for jj in range(taylor_j + 1):
             if jj > 0:
                 power = power * (-x) / ((2.0 * jj - 1.0) * (2.0 * jj))
-            moments[jj] = weights @ power
+            moments[jj] = np.einsum("i,i->", weights, power)
         tau_max = float(np.max(taus))
         log_lead = (2 * taylor_j + 1) * np.log(tau_max * psi) - math.lgamma(2 * taylor_j + 2)
         bound = float(np.exp(log_lead))
     bad = int(np.count_nonzero(~np.isfinite(moments)))
     if bound > _TRUNCATION_WARN_LEVEL or bad:
+        frame, stacklevel = sys._getframe(1), 2
+        while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
+            frame, stacklevel = frame.f_back, stacklevel + 1
         warnings.warn(f"low-frequency series truncated at {taylor_j} terms has relative error "
                       f"bound {bound:.3e} for lags up to {int(tau_max)} ({len(taus)} lags, "
                       f"psi={psi:g}, {bad} non-finite moments); increase taylor_j or decrease psi",
-                      AccuracyWarning, stacklevel=3)
+                      AccuracyWarning, stacklevel=stacklevel)
     return moments
 
 
@@ -180,7 +190,7 @@ def _weighted_a(hurst: float, nu: float, psi: float, m: int, moments: np.ndarray
     bracket -= psi ** (1.0 + 4.0 * hurst) / (
         denom * m * math.pi * (1.0 + 2.0 * j + 4.0 * hurst)
     )
-    return float(bracket @ moments) / (TWO_PI * denom)
+    return float(np.einsum("i,i->", bracket, moments)) / (TWO_PI * denom)
 
 
 def a_coefficient(
@@ -271,9 +281,12 @@ class WhittleObjective:
     Precomputes once the sample autocovariance and its lag moments for
     the a2 correction, and per quadrature level the periodogram and the
     :class:`DenseNodes` of the density on that level's nodes; each (hurst,
-    nu) evaluation then only does the hurst-dependent work. The quadrature
-    refines panel splits until successive values agree within the
-    configured tolerances.
+    nu) evaluation then only does the hurst-dependent work, and reuses the
+    density of the last ``_DENSITY_CACHE`` (level, hurst) pairs, as it does
+    not depend on nu. The quadrature refines panel splits until successive
+    values agree within the configured tolerances. Its long sums are
+    ``einsum`` reductions, whose bits, unlike a threaded BLAS dot's, do not
+    depend on the BLAS thread count.
     """
 
     def __init__(self, y: LogRvIncrements, config: SpectralConfig | None = None):
@@ -288,6 +301,7 @@ class WhittleObjective:
         self._breaks = _panel_breakpoints(psi, math.pi, 2.0, width_cap)
         self._a2_moments = _autocovariance_moments(self.gamma_hat, psi, self.config.taylor_j)
         self._levels: dict[int, tuple[DenseNodes, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._densities: dict[tuple[int, float], np.ndarray] = {}  # oldest first
 
     def _level(self, level: int):
         cached = self._levels.get(level)
@@ -303,10 +317,16 @@ class WhittleObjective:
 
     def _main_integral(self, hurst: float, nu: float, level: int) -> float:
         nodes, weights, i_vals, ell_vals = self._level(level)
-        g = nu * nu * f_h_dense(nodes, hurst, self.config.paxson_k)
+        f = self._densities.get((level, hurst))
+        if f is None:
+            f = f_h_dense(nodes, hurst, self.config.paxson_k)
+            if len(self._densities) == _DENSITY_CACHE:
+                del self._densities[next(iter(self._densities))]
+            self._densities[level, hurst] = f
+        g = nu * nu * f
         g += (2.0 / self.m) * ell_vals
         integrand = np.log(g) + i_vals / g
-        return float(weights @ integrand) / TWO_PI
+        return float(np.einsum("i,i->", weights, integrand)) / TWO_PI
 
     def corrections(self, hurst: float, nu: float) -> float:
         """Objective mass below the cut frequency: a1 + a2."""
@@ -365,7 +385,7 @@ def objective_oracle(
     nodes, weights = _gauss_panels(breaks, 1, _GL24_NODES, _GL24_WEIGHTS)
     g = nu * nu * f_h(nodes, hurst, config.paxson_k) + (2.0 / y.m) * ell(nodes)
     i_vals = periodogram(y.y, nodes)
-    return float(weights @ (np.log(g) + i_vals / g)) / TWO_PI
+    return float(np.einsum("i,i->", weights, np.log(g) + i_vals / g)) / TWO_PI
 
 
 def check_conditions(delta: float, m: int, n: int, box: ParamBox) -> list[str]:
@@ -421,6 +441,23 @@ def default_starts(box: ParamBox, delta: float) -> list[tuple[float, float]]:
     return starts
 
 
+def _converged(res, bounds) -> bool:
+    """Whether an L-BFGS-B descent reached its optimum: it reports success,
+    or its line search failed (status 2) where the decrease its own model
+    still predicts, 1/2 g' H^-1 g with the gradient projected on the box,
+    is within ``_TIE_RTOL`` relative of the minimum, below what the
+    objective's roundoff can resolve."""
+    if res.success:
+        return True
+    if res.status != 2:
+        return False
+    g = np.array(res.jac, dtype=float)
+    lo, hi = np.array(bounds).T
+    g[((res.x <= lo) & (g > 0.0)) | ((res.x >= hi) & (g < 0.0))] = 0.0
+    decrease = 0.5 * float(np.einsum("i,i->", g, res.hess_inv.matvec(g)))
+    return decrease <= _TIE_RTOL * abs(res.fun)
+
+
 def estimate(
     y: LogRvIncrements,
     box: ParamBox | None = None,
@@ -437,15 +474,16 @@ def estimate(
     ``_DESCENTS`` descents succeed. A start whose screen or descent raises
     or ends non-finite goes into ``failures`` and the walk moves on; a
     descent that stops without converging goes there too but stays a
-    candidate. Descents run in (hurst, log nu) with bounded L-BFGS-B and
-    its own three-point difference gradients, one-sided within a step of a
-    bound, so no evaluation leaves the box. The fit is the first descent in
-    walk order whose minimum is within ``_TIE_RTOL`` relative of the
-    lowest, so when descents reach the same optimum the better-screened
-    start supplies (h_hat, nu_hat) and ``start_used``, whatever the last
-    ulp of each minimum. The diffusion estimate is eta = nu *
-    delta**(-hurst). ``nu_bounds`` overrides the box-derived nu range when
-    the two parameter scales are managed externally.
+    candidate; a line search that stops below roundoff has converged (see
+    :func:`_converged`). Descents run in (hurst, log nu) with bounded
+    L-BFGS-B and its own three-point difference gradients, one-sided within
+    a step of a bound, so no evaluation leaves the box. The fit is the
+    first descent in walk order whose minimum is within ``_TIE_RTOL``
+    relative of the lowest, so when descents reach the same optimum the
+    better-screened start supplies (h_hat, nu_hat) and ``start_used``,
+    whatever the last ulp of each minimum. The diffusion estimate is eta =
+    nu * delta**(-hurst). ``nu_bounds`` overrides the box-derived nu range
+    when the two parameter scales are managed externally.
     """
     if len(y) < _MIN_INCREMENTS:
         raise ValueError(f"estimate needs at least {_MIN_INCREMENTS} increments, got {len(y)}")
@@ -512,12 +550,12 @@ def estimate(
         if not np.isfinite(res.fun):
             failures.append(f"start {start}: non-finite objective")
             continue
-        if not res.success:
+        converged = _converged(res, bounds)
+        if not converged:
             failures.append(f"start {start}: not converged: {res.message}")
         descended_h.add(h0)
         candidates.append(
-            (float(res.fun), float(res.x[0]), math.exp(float(res.x[1])),
-             bool(res.success), start)
+            (float(res.fun), float(res.x[0]), math.exp(float(res.x[1])), converged, start)
         )
 
     if not candidates:

@@ -7,7 +7,12 @@ the acceptance suite.
 """
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +121,36 @@ class TestRunMcTable:
         assert (cell.n_converged, cell.n_failed, cell.failed) == (0, 2, True)
         assert math.isnan(cell.h_mean)
         assert cell.failures == ("path 0: RuntimeError: boom", "path 1: not converged")
+
+
+# Fits path 1 of the (0.1, 1.0, 80) acceptance cell at base seed 9, from the
+# truth and from the default starts, and prints the bits of each fit.
+FIT_ONE_PATH = """
+import json
+import roughvol as rv
+config = rv.McConfig(base_seed=9)
+seed = rv.derive_path_seed(config.base_seed, 0.1, 1.0, 80, 1)
+spec = rv.FouSpec(hurst=0.1, eta=1.0, alpha=config.alpha, c=config.c, delta=config.delta,
+                  m=80, n_days=config.n_days, seed=seed, substeps=config.substeps)
+_, log_price = rv.simulate_fou_price(spec)
+y = rv.log_rv_increments(rv.realized_variance(log_price, 80, config.delta))
+fits = [rv.estimate(y, starts=[(0.1, config.delta**0.1)]), rv.estimate(y)]
+print(json.dumps([[f.h_hat.hex(), f.objective.hex(), list(f.start_used)] for f in fits]))
+"""
+
+
+def fit_bits_with_blas_threads(threads: int) -> list:
+    src = str(Path(rv.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FIT_ONE_PATH], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_fit_bits_do_not_depend_on_blas_threads():
+    # the thread count is set in each child's environment only
+    assert fit_bits_with_blas_threads(1) == fit_bits_with_blas_threads(2)
 
 
 class TestIllusionExperiment:

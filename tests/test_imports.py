@@ -1,8 +1,9 @@
 """Static checks on the package source: every import is used, no module
 keeps state of its own between calls, no handler only re-labels the
 exception it caught, every private top-level name is used, only the
-command line prints, only ``_lag_moments`` warns, and every exported name
-has a caller in the package or is a listed reference implementation."""
+command line prints, only ``_lag_moments`` warns, the objective's sums make
+no BLAS products, and every exported name has a caller in the package or
+is a listed reference implementation."""
 
 import ast
 import re
@@ -180,6 +181,32 @@ def test_detects_printing():
                          ids=lambda p: p.name)
 def test_only_cli_prints(module):
     assert printing(module.read_text()) == []
+
+
+def blas_products(source: str) -> list[str]:
+    """Uses of ``@`` as matrix product (not as decorator), and calls of
+    ``np.dot`` or of any ``.dot`` method."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "dot":
+            found.append((node.lineno, f"{ast.unparse(node.func)}("))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_detects_blas_products():
+    source = ("import numpy as np\n@dataclass\nclass A:\n    pass\n"
+              "x = w @ v\nx @= m\ny = np.dot(w, v)\nz = w.dot(v)\nt = np.einsum('i,i->', w, v)\n")
+    assert blas_products(source) == [
+        "@ (line 5)", "@ (line 6)", "np.dot( (line 7)", "w.dot( (line 8)"]
+
+
+def test_whittle_sums_without_blas():
+    # OpenBLAS rounds a long dot product differently at another thread
+    # count, and its threads oversubscribe the cores of a worker pool
+    assert blas_products((PACKAGE / "whittle.py").read_text()) == []
 
 
 def warning_sites(source: str) -> list[str]:

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import minimize
+from scipy.optimize import approx_fprime, minimize
 
 import roughvol as rv
 from roughvol import whittle
@@ -190,6 +190,26 @@ class MovedMinimize(CountingMinimize):
         res = super().__call__(fun, x0, **kwargs)
         if len(self.results) == 2:
             res.fun = self.move(self.results[0].fun)
+        return res
+
+
+class StoppedMinimize(CountingMinimize):
+    """Stands in for ``whittle.minimize``: runs the real descent, then reports
+    it stopped with L-BFGS-B status ``status``; ``at_start`` also moves the
+    result back to the descent's start, with the gradient there."""
+
+    def __init__(self, status, at_start=False):
+        super().__init__()
+        self.status = status
+        self.at_start = at_start
+
+    def __call__(self, fun, x0, **kwargs):
+        res = super().__call__(fun, x0, **kwargs)
+        if self.at_start:
+            res.x = np.array(x0, dtype=float)
+            res.fun = fun(res.x)
+            res.jac = approx_fprime(res.x, fun)
+        res.success, res.status, res.message = False, self.status, f"injected status {self.status}"
         return res
 
 
@@ -408,6 +428,20 @@ class TestObjective:
                 workspace.value(hurst, nu)
         assert [w.category for w in caught] == [AccuracyWarning]
 
+    @pytest.mark.parametrize("entry", [
+        lambda y, cfg: rv.WhittleObjective(y, cfg),
+        lambda y, cfg: rv.objective(y, 0.1, 0.6, cfg),
+        lambda y, cfg: rv.estimate(y, starts=[(0.1, 0.6)], config=cfg),
+        lambda y, cfg: rv.correction_a2(0.1, 0.6, cfg.psi, cfg.taylor_j, y.m,
+                                        rv.autocovariance_hat(y.y)),
+        lambda y, cfg: rv.a_coefficient(0.1, 0.6, len(y) - 1, cfg.psi, cfg.taylor_j, y.m),
+    ], ids=["WhittleObjective", "objective", "estimate", "correction_a2", "a_coefficient"])
+    def test_accuracy_warning_names_the_caller(self, entry):
+        y = LogRvIncrements(differenced_series(500, seed=3), delta=1.0 / 250.0, m=80)
+        with pytest.warns(AccuracyWarning) as caught:
+            entry(y, rv.SpectralConfig(psi=1e-3, taylor_j=3))
+        assert [w.filename for w in caught] == [__file__]
+
     def test_corrections_are_a1_plus_a2(self, small_sim_series):
         workspace = rv.WhittleObjective(small_sim_series, CFG)
         m = small_sim_series.m
@@ -416,6 +450,36 @@ class TestObjective:
                 a1 = rv.correction_a1(hurst, nu, CFG.psi, m)
                 a2 = rv.correction_a2(hurst, nu, CFG.psi, CFG.taylor_j, m, workspace.gamma_hat)
                 assert workspace.corrections(hurst, nu) == a1 + a2
+
+
+class TestDensityCache:
+    """A workspace keeps the densities of its last few (level, hurst) pairs;
+    reusing them changes no value."""
+
+    def test_values_match_fresh_workspaces(self, small_sim_series):
+        # stencil-like runs at one hurst, revisits after eviction, new hurst values
+        hursts = [0.1, 0.1, 0.1, 0.2, 0.1, 0.3, 0.4, 0.1, 0.5, 0.5,
+                  0.6, 0.1, 0.2, 0.7, 0.7, 0.7, 0.05, 0.3, 0.05, 0.9]
+        nus = np.geomspace(0.2, 3.0, len(hursts))
+        workspace = rv.WhittleObjective(small_sim_series)
+        for hurst, nu in zip(hursts, nus):
+            value = workspace.value(hurst, nu)
+            assert value == rv.WhittleObjective(small_sim_series).value(hurst, nu)
+            assert len(workspace._densities) <= whittle._DENSITY_CACHE
+
+    def test_screening_computes_each_density_once(self, small_sim_series, monkeypatch):
+        calls = []
+
+        def counting(nodes, hurst, paxson_k):
+            calls.append(hurst)
+            return rv.f_h_dense(nodes, hurst, paxson_k)
+
+        monkeypatch.setattr(whittle, "f_h_dense", counting)
+        starts = rv.default_starts(rv.ParamBox(), small_sim_series.delta)
+        screened_order(small_sim_series, starts)
+        assert len(starts) == 44
+        # two quadrature levels for each of the 11 hurst values
+        assert len(calls) == 2 * 11 and len(set(calls)) == 11
 
 
 class TestObjectiveOracle:
@@ -645,6 +709,37 @@ class TestStartScreening:
         second = moved.results[1]
         assert (fit.objective, fit.h_hat, fit.converged) == (second.fun, second.x[0], False)
         assert fit.start_used != want.start_used
+
+    @pytest.mark.parametrize("box", [
+        rv.ParamBox(), rv.ParamBox(h_max=0.05), rv.ParamBox(h_min=0.2),
+    ], ids=["interior", "at_h_max", "at_h_min"])
+    def test_line_search_stop_at_the_optimum_is_converged(self, small_sim_series, monkeypatch,
+                                                          box):
+        # a status-2 stop where the predicted decrease is below roundoff; at a
+        # bound, the gradient's push out of the box predicts no decrease
+        starts = [(0.1, 0.5)]
+        want = rv.estimate(small_sim_series, box=box, starts=starts)
+        monkeypatch.setattr(whittle, "minimize", StoppedMinimize(status=2))
+        fit = rv.estimate(small_sim_series, box=box, starts=starts)
+        assert want.converged and fit == want
+
+    def test_line_search_stop_at_the_start_is_not_converged(self, small_sim_series,
+                                                            monkeypatch):
+        starts = [(0.1, 0.5)]
+        monkeypatch.setattr(whittle, "minimize", StoppedMinimize(status=2, at_start=True))
+        fit = rv.estimate(small_sim_series, starts=starts)
+        assert (fit.h_hat, fit.converged) == (0.1, False)
+        assert fit.failures == (f"start {starts[0]}: not converged: injected status 2",)
+
+    def test_iteration_limit_at_the_optimum_is_not_converged(self, small_sim_series,
+                                                             monkeypatch):
+        starts = [(0.1, 0.5)]
+        want = rv.estimate(small_sim_series, starts=starts)
+        monkeypatch.setattr(whittle, "minimize", StoppedMinimize(status=1))
+        fit = rv.estimate(small_sim_series, starts=starts)
+        assert fit == dataclasses.replace(
+            want, converged=False,
+            failures=(f"start {starts[0]}: not converged: injected status 1",))
 
     def test_descent_reuses_its_screened_value(self, small_sim_series, monkeypatch):
         # a descent's first point is its screened start: only that one of
