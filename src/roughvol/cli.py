@@ -350,7 +350,7 @@ def _cmd_spectrum(args) -> int:
 
 def _parse_kv_file(path: str) -> dict:
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -153,7 +153,7 @@ def read_rv_csv(
     reasons: Counter = Counter()
     rows_read = 0
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -237,7 +237,7 @@ def atomic_write(path, lines) -> None:
     plain ``open`` would give it."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.part")
-    fh = open(tmp, "x", newline="")  # exclusive: never reuses another file
+    fh = open(tmp, "x", newline="", encoding="utf-8")  # exclusive: never reuses another file
     try:
         with fh:
             fh.writelines(lines)
@@ -261,7 +261,7 @@ def read_float_table(path, columns) -> np.ndarray:
     columns = list(columns)
     width = len(columns)
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [cell.strip() for cell in header[:width]] != columns:

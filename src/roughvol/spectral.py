@@ -4,7 +4,7 @@ The model spectral density combines the density ``f_h`` of day-averaged
 fractional-noise increments (an alias sum truncated with a Paxson-style
 tail correction) with a differenced measurement-noise floor ``ell``
 weighted by 2/m. The periodogram follows the t = 1..n index convention
-and is evaluated at arbitrary frequencies by a Goertzel recurrence.
+and is evaluated at arbitrary frequencies by Horner's rule in e^{i lambda}.
 
 The production density :func:`f_h_dense` works on a :class:`DenseNodes`,
 a node set of frequency arrays holding everything the density needs that
@@ -201,9 +201,10 @@ def g_spectrum(lam, hurst: float, nu: float, m: int,
 def periodogram(y, lam):
     """|sum_{t=1..n} y_t exp(i t lambda)|^2 / (2 pi n) at arbitrary lambda.
 
-    Evaluated with the Goertzel recurrence (one pass over y per call,
-    vectorized across frequencies), so any lambda is admissible, not just
-    Fourier grid points. Nonnegative and even in lambda.
+    Evaluated by Horner's rule in z = e^{i lambda} (one pass over y per
+    call, vectorized across frequencies), which is stable on |z| = 1, so
+    any lambda is admissible, not just Fourier grid points. Nonnegative
+    and even in lambda.
     """
     y = np.asarray(y)
     if y.ndim != 1 or len(y) < 1:
@@ -211,16 +212,13 @@ def periodogram(y, lam):
     scalar = np.isscalar(lam) or np.ndim(lam) == 0
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
 
-    two_cos = 2.0 * np.cos(lam_arr)
-    s_prev = np.zeros(lam_arr.shape)
-    s_prev2 = np.zeros(lam_arr.shape)
-    for y_t in y:
-        s = y_t + two_cos * s_prev - s_prev2
-        s_prev2 = s_prev
-        s_prev = s
-    # |S|^2 with S = s_n - e^{-i lam} s_{n-1}; the t-index phase drops out.
-    total = s_prev - np.exp(-1j * lam_arr) * s_prev2
-    out = np.abs(total) ** 2 / (TWO_PI * len(y))
+    # acc = sum_t y_t z^(t-1); the dropped factor z has modulus 1.
+    z = np.exp(1j * lam_arr)
+    acc = np.zeros(lam_arr.shape, dtype=complex)
+    for y_t in y[::-1]:
+        acc *= z
+        acc += y_t
+    out = np.abs(acc) ** 2 / (TWO_PI * len(y))
     return float(out[0]) if scalar else out.reshape(np.shape(lam))
 
 

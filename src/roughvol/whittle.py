@@ -92,9 +92,9 @@ class ParamBox:
         """Range of nu = eta * delta**hurst over the box."""
         if delta <= 0.0:
             raise ValueError("delta must be positive")
-        lo = self.eta_min * delta**self.h_max
-        hi = self.eta_max * delta**self.h_min
-        return (lo, hi) if lo <= hi else (hi, lo)
+        corners = [eta * delta**h for eta in (self.eta_min, self.eta_max)
+                   for h in (self.h_min, self.h_max)]
+        return min(corners), max(corners)
 
 
 @dataclass(frozen=True)
@@ -463,7 +463,6 @@ def estimate(
     box: ParamBox | None = None,
     starts: list[tuple[float, float]] | None = None,
     config: SpectralConfig | None = None,
-    nu_bounds: tuple[float, float] | None = None,
 ) -> WhittleFit:
     """Screen every start with one objective value, descend from the best
     and keep the lowest minimum, ties to the better-screened start.
@@ -482,8 +481,7 @@ def estimate(
     relative of the lowest, so when descents reach the same optimum the
     better-screened start supplies (h_hat, nu_hat) and ``start_used``,
     whatever the last ulp of each minimum. The diffusion estimate is eta =
-    nu * delta**(-hurst). ``nu_bounds`` overrides the box-derived nu range
-    when the two parameter scales are managed externally.
+    nu * delta**(-hurst).
     """
     if len(y) < _MIN_INCREMENTS:
         raise ValueError(f"estimate needs at least {_MIN_INCREMENTS} increments, got {len(y)}")
@@ -493,7 +491,7 @@ def estimate(
     starts = [(float(h), float(v)) for h, v in starts]
     if not starts:
         raise ValueError("starts must be nonempty")
-    nu_lo, nu_hi = nu_bounds if nu_bounds is not None else box.nu_bounds(y.delta)
+    nu_lo, nu_hi = box.nu_bounds(y.delta)
     if not 0.0 < nu_lo < nu_hi:
         raise ValueError("invalid nu bounds")
 

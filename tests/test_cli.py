@@ -251,6 +251,16 @@ class TestIngestCheckCommand:
                                            "span=2020-01-02..2020-01-06\n")
         assert out.read_text().splitlines()[0] == "date,rv"
 
+    def test_byte_order_mark(self, tmp_path, capsys):
+        body = "date,rv\n2020-01-02,1e-4\n2020-01-03,0\n2020-01-06,2e-4\n"
+        outputs = []
+        for prefix in ("", "\ufeff"):
+            src, out = tmp_path / f"raw{len(prefix)}.csv", tmp_path / f"out{len(prefix)}.csv"
+            src.write_text(prefix + body, encoding="utf-8")
+            assert run(["ingest-check", "--rv", src, "--m", 78, "--out", out]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[1] == outputs[0]
+
     def test_strict_fails(self, tmp_path):
         src = tmp_path / "raw.csv"
         src.write_text("date,rv\n1,1e-4\n2,0\n")
@@ -277,6 +287,11 @@ class TestMcCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("h0,eta0,m,n_paths,n_converged")
         assert len(lines) == 2
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("\ufeffn_paths = 2\n", encoding="utf-8")
+        assert cli._parse_kv_file(str(cfg)) == {"n_paths": "2"}
 
     def test_non_integer_intraday_count_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "mc.cfg"

@@ -1,9 +1,10 @@
 """Static checks on the package source: every import is used, no module
 keeps state of its own between calls, no handler only re-labels the
 exception it caught, every private top-level name is used, only the
-command line prints, only ``_lag_moments`` warns, the objective's sums make
-no BLAS products, and every exported name has a caller in the package or
-is a listed reference implementation."""
+command line prints, every text-mode ``open`` names its encoding, only
+``_lag_moments`` warns, the objective's sums make no BLAS products, and
+every exported name has a caller in the package or is a listed reference
+implementation."""
 
 import ast
 import re
@@ -181,6 +182,35 @@ def test_detects_printing():
                          ids=lambda p: p.name)
 def test_only_cli_prints(module):
     assert printing(module.read_text()) == []
+
+
+def locale_opens(source: str) -> list[str]:
+    """Calls of the builtin ``open`` in text mode that pass no ``encoding``,
+    and so read or write in the locale's encoding."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+        if not binary and "encoding" not in keywords:
+            found.append(node.lineno)
+    return [f"open (line {line})" for line in sorted(found)]
+
+
+def test_detects_locale_opens():
+    source = ("with open(p) as fh:\n    pass\nfh = open(p, 'x', newline='')\n"
+              "fh = open(p, 'rb')\nfh = open(p, mode='wb')\nfh = open(p, encoding='utf-8')\n"
+              "fh = gzip.open(p)\nfh = open(p, mode='w')\n")
+    assert locale_opens(source) == ["open (line 1)", "open (line 3)", "open (line 8)"]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_file_io_names_its_encoding(module):
+    # the locale's encoding would make a byte-order mark part of the header
+    assert locale_opens(module.read_text()) == []
 
 
 def blas_products(source: str) -> list[str]:

@@ -103,6 +103,19 @@ class TestReadRvCsv:
         _, report = rv.read_rv_csv(target, m=78)
         assert report.reasons["missing"] == 1
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with U+FEFF
+        body = "rv,date\n1e-4,2020-01-02\n2e-4,2020-01-03\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(body, encoding="utf-8")
+        marked.write_text("\ufeff" + body, encoding="utf-8")
+        (series, report), (plain_series, plain_report) = (
+            rv.read_rv_csv(path, m=78) for path in (marked, plain))
+        assert series.values.tolist() == plain_series.values.tolist()
+        assert report == plain_report
+        marked.write_text("\ufeffh,nu\n0.1,0.5\n", encoding="utf-8")
+        np.testing.assert_array_equal(read_float_table(marked, ("h", "nu")), [[0.1, 0.5]])
+
     def test_report_counts(self, tmp_path):
         # blank rows are not read; missing and nonpositive ones are dropped
         target = tmp_path / "rv.csv"

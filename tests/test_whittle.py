@@ -521,15 +521,14 @@ class TestEstimate:
         assert box.h_min <= fit.h_hat <= box.h_max
 
     def test_reparametrization_consistency(self, small_sim_series):
-        # same increments, same explicit nu box, two day lengths: identical
-        # (hurst, nu), and eta rescales by exactly delta**(-hurst)
-        nu_bounds = (1e-4, 10.0)
+        # same increments, two day lengths: identical (hurst, nu), and eta
+        # rescales by exactly delta**(-hurst)
         starts = [(0.3, 0.05)]
         delta_a, delta_b = 1.0 / 250.0, 1.0 / 200.0
         y_a = small_sim_series
         y_b = LogRvIncrements(small_sim_series.y.copy(), delta=delta_b, m=small_sim_series.m)
-        fit_a = rv.estimate(y_a, starts=starts, nu_bounds=nu_bounds)
-        fit_b = rv.estimate(y_b, starts=starts, nu_bounds=nu_bounds)
+        fit_a = rv.estimate(y_a, starts=starts)
+        fit_b = rv.estimate(y_b, starts=starts)
         assert fit_a.h_hat == fit_b.h_hat
         assert fit_a.nu_hat == fit_b.nu_hat
         ratio = fit_b.eta_hat / fit_a.eta_hat
@@ -780,6 +779,13 @@ class TestParamBox:
         assert lo == pytest.approx(0.1 * (1.0 / 250.0) ** 0.99)
         assert hi == pytest.approx(10.0 * (1.0 / 250.0) ** 0.001)
         assert lo < hi
+
+    def test_nu_bounds_above_unit_delta(self):
+        # for delta > 1, delta**hurst grows with hurst: the range is taken
+        # at the other two corners of the box
+        box = rv.ParamBox()
+        assert box.nu_bounds(2.0) == (0.1 * 2.0**0.001, 10.0 * 2.0**0.99)
+        assert box.nu_bounds(1.0) == (0.1, 10.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
