@@ -2,11 +2,11 @@
 
 Subcommands: simulate, rv, estimate, scaling, spectrum, mc, illusion,
 zscore, ingest-check. Exit codes: 0 success; 1 for a ``ValueError`` (bad
-flags, missing or malformed inputs, invariant violations), which the
-package raises for every input it rejects; 2 for any other failure, such
-as a simulation overflow or a fit whose every start failed. ``dispatch``
-alone maps exceptions to exit codes. Output files are written atomically
-(temp file, then rename) by ``ingest.atomic_write``. Experiment
+flags, missing, unreadable or malformed inputs, invariant violations),
+which the package raises for every input it rejects; 2 for any other
+failure, such as a simulation overflow or a fit whose every start failed.
+``dispatch`` alone maps exceptions to exit codes. Files are opened only in
+``ingest``: inputs by ``open_input``, outputs by ``atomic_write``. Experiment
 subcommands refuse to run without an explicit --seed. This is the one
 module that prints: the library returns records and reasons as data.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 
 import numpy as np
@@ -40,6 +39,7 @@ from .ingest import (
     atomic_write,
     csv_lines,
     format_cell,
+    open_input,
     read_float_table,
     read_grid_csv,
     read_rv_csv,
@@ -60,12 +60,6 @@ SUMMARY_DIGITS = 6
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep codes stable
         raise ValueError(message)
-
-
-def _require_file(path: str) -> str:
-    if not os.path.exists(path):
-        raise ValueError(f"input file does not exist: {path}")
-    return path
 
 
 def _float_tuple(text: str) -> tuple:
@@ -146,7 +140,6 @@ def _add_rv_flags(parser) -> None:
 
 
 def _read_rv(args, m: int, date_column: str = DATE_COLUMN, strict: bool = False):
-    _require_file(args.rv)
     return read_rv_csv(args.rv, m=m, delta=args.delta, column=args.column,
                        date_column=date_column, strict=strict)
 
@@ -269,7 +262,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_rv(args) -> int:
-    _require_file(args.price)
     grid = read_grid_csv(args.price, kind="log_price")
     rv = realized_variance(grid, args.m, args.delta)
     write_csv(args.out, [DATE_COLUMN, RV_COLUMN], enumerate(rv.values, start=1))
@@ -277,7 +269,6 @@ def _cmd_rv(args) -> int:
 
 
 def _read_starts(path: str) -> list[tuple[float, float]]:
-    _require_file(path)
     table = read_float_table(path, ("h", "nu"))
     if not len(table):
         raise ValueError(f"{path}: no starts found")
@@ -350,7 +341,7 @@ def _cmd_spectrum(args) -> int:
 
 def _parse_kv_file(path: str) -> dict:
     values = {}
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -367,7 +358,6 @@ def _mc_config_from_args(args) -> McConfig:
     argparse has already parsed with the same parsers)."""
     fields = {}
     if args.config:
-        _require_file(args.config)
         parsers = {key: parse for key, parse, _, _ in _MC_SETTINGS}
         for key, val in _parse_kv_file(args.config).items():
             if key not in parsers:

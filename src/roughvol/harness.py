@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracsim import FouSpec, simulate_fou_price
+from .fracsim import FouSpec, SynthesisError, VolatilityOverflowError, simulate_fou_price
 from .ingest import DEFAULT_DELTA
 from .proxy import RvSeries, error_zscores, integrated_variance, log_rv_increments, realized_variance
 from .scaling import fit_scaling
-from .whittle import estimate
+from .whittle import START_ERRORS, AllStartsFailedError, estimate
 
 DEFAULT_ALPHA = 0.001
 DEFAULT_C = -3.2
@@ -143,6 +143,11 @@ def derive_path_seed(base_seed: int, h0: float, eta0: float, m: int, path_index:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
+# What may fail one Monte Carlo path and leave the cell standing; any other
+# exception is a fault and propagates out of run_mc_table.
+_PATH_ERRORS = START_ERRORS + (AllStartsFailedError, SynthesisError, VolatilityOverflowError)
+
+
 def _fit_one_path(config: McConfig, h0: float, eta0: float, m: int, path_index: int):
     seed = derive_path_seed(config.base_seed, h0, eta0, m, path_index)
     spec = FouSpec(
@@ -158,7 +163,7 @@ def _fit_one_path(config: McConfig, h0: float, eta0: float, m: int, path_index: 
         else:
             starts = None
         fit = estimate(y, starts=starts)
-    except Exception as exc:  # a failed path must not sink the whole cell
+    except _PATH_ERRORS as exc:  # a failed path must not sink the whole cell
         return (path_index, None, None, f"{type(exc).__name__}: {exc}")
     if not fit.converged:
         return (path_index, fit.h_hat, fit.eta_hat, "not converged")
@@ -183,7 +188,8 @@ def run_mc_table(config: McConfig, workers: int = 1) -> McReport:
 
     The reduction is a deterministic fold over path indices, so serial and
     parallel runs produce identical reports. Raises ``ValueError`` for
-    ``workers < 1``.
+    ``workers < 1``, and any exception of a path that is not one of
+    ``_PATH_ERRORS``.
     """
     tasks = [
         (config, h0, eta0, m, p)

@@ -7,10 +7,10 @@ days (the volatility clock stops while markets are closed, so calendar
 gaps do not enter). :func:`compute_m` derives the intraday return count m
 from market session hours; the command line takes m as a flag.
 
-Every file the package writes goes through :func:`atomic_write`: LF line
-endings, floats at 17 significant digits (re-read bit-exactly), and a
-temporary file renamed over the target, so a failed write never leaves a
-partial file behind.
+No other module opens files. Inputs are read as UTF-8 by :func:`open_input`,
+whose errors name the file; outputs go through :func:`atomic_write`: LF line
+endings, floats at 17 significant digits (re-read bit-exactly), and a temporary
+file renamed over the target, so a failed write never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import os
 import re
 import secrets
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ _TIME_PATTERN = re.compile(r"^(\d{1,2}):(\d{2})$")
 
 
 class IngestError(ValueError):
-    """Malformed input file; the message names the offending line."""
+    """Unreadable or malformed input file; the message names it and any bad line."""
 
 
 def _parse_clock(value) -> int:
@@ -127,9 +128,22 @@ def compute_m(calendar: MarketCalendar) -> int:
     return int(m)
 
 
-def _blank(row) -> bool:
-    """A CSV row without cells or with only whitespace in them; readers skip it."""
-    return not row or all(not cell.strip() for cell in row)
+@contextmanager
+def open_input(path):
+    """``path`` opened as UTF-8 text, a leading byte-order mark skipped; a
+    failure to open, read or decode it raises an ``IngestError`` naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except OSError as exc:
+        raise IngestError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+def _data_rows(reader):
+    """(line number, row) of each row after the header with a nonblank cell."""
+    return ((n, row) for n, row in enumerate(reader, start=2) if any(c.strip() for c in row))
 
 
 def read_rv_csv(
@@ -153,7 +167,7 @@ def read_rv_csv(
     reasons: Counter = Counter()
     rows_read = 0
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -167,9 +181,7 @@ def read_rv_csv(
             ) from None
         date_index = names.index(date_column) if date_column in names else None
 
-        for lineno, row in enumerate(reader, start=2):
-            if _blank(row):
-                continue
+        for lineno, row in _data_rows(reader):
             rows_read += 1
             if max(value_index, date_index or 0) >= len(row):
                 raise IngestError(f"{path}: line {lineno}: too few columns")
@@ -261,14 +273,12 @@ def read_float_table(path, columns) -> np.ndarray:
     columns = list(columns)
     width = len(columns)
     rows = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [cell.strip() for cell in header[:width]] != columns:
             raise IngestError(f"{path}: expected header {','.join(columns)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if _blank(row):
-                continue
+        for lineno, row in _data_rows(reader):
             try:
                 rows.append([float(row[i]) for i in range(width)])
             except (IndexError, ValueError):

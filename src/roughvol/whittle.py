@@ -66,6 +66,10 @@ class AllStartsFailedError(RuntimeError):
     """Every optimizer start raised; the message lists per-start reasons."""
 
 
+# What may fail one start of a fit: ``estimate`` records it and moves on.
+START_ERRORS = (QuadratureError, FloatingPointError, ValueError)
+
+
 class AccuracyWarning(UserWarning):
     """The low-frequency correction series is truncated too early."""
 
@@ -89,12 +93,17 @@ class ParamBox:
             raise ValueError("require 0 < eta_min < eta_max")
 
     def nu_bounds(self, delta: float) -> tuple[float, float]:
-        """Range of nu = eta * delta**hurst over the box."""
+        """Range of nu = eta * delta**hurst over the box; raises ``ValueError``
+        where the range underflows to 0 or overflows to infinity."""
         if delta <= 0.0:
             raise ValueError("delta must be positive")
         corners = [eta * delta**h for eta in (self.eta_min, self.eta_max)
                    for h in (self.h_min, self.h_max)]
-        return min(corners), max(corners)
+        lo, hi = min(corners), max(corners)
+        if not 0.0 < lo < hi < math.inf:
+            raise ValueError(f"nu range ({lo!r}, {hi!r}) at delta={delta!r} is not "
+                             f"positive and finite: narrow eta_min, eta_max")
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -492,8 +501,6 @@ def estimate(
     if not starts:
         raise ValueError("starts must be nonempty")
     nu_lo, nu_hi = box.nu_bounds(y.delta)
-    if not 0.0 < nu_lo < nu_hi:
-        raise ValueError("invalid nu bounds")
 
     workspace = WhittleObjective(y, config)
     screened_values = {}  # (hurst, log nu) of each screened start -> its value
@@ -516,7 +523,7 @@ def estimate(
         )
         try:
             value = fun(x0)
-        except (QuadratureError, FloatingPointError, ValueError) as exc:
+        except START_ERRORS as exc:
             failures.append(f"start {start}: {exc}")
             continue
         if not math.isfinite(value):
@@ -542,7 +549,7 @@ def estimate(
                 bounds=bounds,
                 options=options,
             )
-        except (QuadratureError, FloatingPointError, ValueError) as exc:
+        except START_ERRORS as exc:
             failures.append(f"start {start}: {exc}")
             continue
         if not np.isfinite(res.fun):

@@ -306,7 +306,7 @@ class TestMcCommand:
         unconverged = rv.WhittleFit(h_hat=0.1, nu_hat=0.5, eta_hat=1.0, objective=0.0,
                                     n_starts=1, converged=False, start_used=(0.1, 0.5),
                                     delta=1.0 / 250.0, m=40)
-        outcomes = itertools.cycle([RuntimeError("boom"), unconverged])  # two runs
+        outcomes = itertools.cycle([rv.SynthesisError("boom"), unconverged])  # two runs
 
         def fake_estimate(y, **kwargs):
             outcome = next(outcomes)
@@ -322,7 +322,7 @@ class TestMcCommand:
         to_file = capsys.readouterr()
         assert to_file.out == ""
         assert to_file.err.splitlines()[:2] == [
-            "cell (0.1, 1.0, 40) path 0: RuntimeError: boom",
+            "cell (0.1, 1.0, 40) path 0: SynthesisError: boom",
             "cell (0.1, 1.0, 40) path 1: not converged",
         ]
         assert to_file.err.splitlines()[2].startswith("total wall time ")
@@ -332,6 +332,18 @@ class TestMcCommand:
         assert summary.read_text() == to_stdout.out
         assert to_stdout.out == ("h0=0.1 eta0=1 m=40: h_mean=nan h_var=nan eta_mean=nan "
                                  "eta_var=nan converged=0/2 [FAILED]\n")
+
+    def test_undocumented_exception_exits_two(self, tmp_path, monkeypatch, capsys):
+        def faulty_estimate(y, **kwargs):
+            raise TypeError("stand-in fault")
+
+        monkeypatch.setattr(harness, "estimate", faulty_estimate)
+        out = tmp_path / "mc.csv"
+        code = run(["mc", "--h0", 0.1, "--eta0", 1, "--m", 40, "--paths", 2, "--days", 40,
+                    "--seed", 3, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == "error: TypeError: stand-in fault\n"
+        assert not out.exists()
 
     def test_integral_float_counts_still_parse(self):
         assert cli._int_tuple("80,4e2,1000.0") == (80, 400, 1000)
@@ -394,6 +406,11 @@ class TestExitCodes:
         assert err.endswith(f" value: '{value}'\n")
         assert not out.exists()
 
+    def test_underflowing_nu_range_exits_one(self, rv300, capsys):
+        # eta_min * delta**h_max underflows to 0: the log-nu box would be unbounded
+        assert run(["estimate", "--rv", rv300, "--m", 80, "--eta-min", 5e-324]) == 1
+        assert capsys.readouterr().err.startswith("error: nu range (0.0, ")
+
     def test_all_starts_failed_exits_two(self, rv300, tmp_path, capsys):
         starts = tmp_path / "starts.csv"
         starts.write_text("h,nu\n0.1,0.5\n0.3,0.5\n")
@@ -431,6 +448,38 @@ class TestExitCodes:
         code = run(sub + ["--seed", 1, "--workers", 0, "--out", tmp_path / "out.csv"])
         assert code == 1
         assert capsys.readouterr().err == "error: workers must be >= 1\n"
+
+
+# Each input flag: the argv that reads it, the path under test as {bad},
+# and a well-formed version of the input with a non-ASCII note in it.
+INPUTS = {
+    "estimate --rv": (["estimate", "--rv", "{bad}", "--m", 78],
+                      "date,rv,note\n1,1e-4,café\n"),
+    "estimate --starts": (["estimate", "--rv", "{rv}", "--m", 78, "--starts", "{bad}"],
+                          "h,nu,note\n0.1,0.5,café\n"),
+    "rv --price": (["rv", "--price", "{bad}", "--m", 2, "--out", "{out}"],
+                   "t,value,note\n0,0,café\n0.5,0.1,x\n1,0.3,x\n"),
+    "mc --config": (["mc", "--config", "{bad}", "--seed", 1, "--out", "{out}"],
+                    "n_paths = 2  # café\n"),
+}
+
+
+class TestUnreadableInputs:
+    """A missing, unreadable or non-UTF-8 input exits 1 naming the file."""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "latin-1"])
+    @pytest.mark.parametrize("flag", INPUTS)
+    def test_exits_one_naming_the_file(self, flag, kind, rv300, tmp_path, capsys):
+        argv, text = INPUTS[flag]
+        bad = tmp_path / "input"
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "latin-1":
+            bad.write_text(text, encoding="latin-1")
+        out = tmp_path / "out.csv"
+        assert run([str(a).format(bad=bad, rv=rv300, out=out) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -107,7 +107,7 @@ class TestRunMcTable:
         unconverged = rv.WhittleFit(h_hat=0.1, nu_hat=0.5, eta_hat=1.0, objective=0.0,
                                     n_starts=1, converged=False, start_used=(0.1, 0.5),
                                     delta=1.0 / 250.0, m=40)
-        outcomes = iter([RuntimeError("boom"), unconverged])
+        outcomes = iter([rv.SynthesisError("boom"), unconverged])
 
         def fake_estimate(y, **kwargs):
             outcome = next(outcomes)
@@ -120,7 +120,17 @@ class TestRunMcTable:
         cell = report.cells[0]
         assert (cell.n_converged, cell.n_failed, cell.failed) == (0, 2, True)
         assert math.isnan(cell.h_mean)
-        assert cell.failures == ("path 0: RuntimeError: boom", "path 1: not converged")
+        assert cell.failures == ("path 0: SynthesisError: boom", "path 1: not converged")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_undocumented_exception_propagates(self, workers, monkeypatch):
+        # a fault, unlike a documented fit or simulation failure, is not a failed path
+        def faulty_estimate(y, **kwargs):
+            raise TypeError("stand-in fault")
+
+        monkeypatch.setattr(harness, "estimate", faulty_estimate)
+        with pytest.raises(TypeError, match="stand-in fault"):
+            rv.run_mc_table(small_config(n_paths=2, n_days=40), workers=workers)
 
 
 # Fits path 1 of the (0.1, 1.0, 80) acceptance cell at base seed 9, from the

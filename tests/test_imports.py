@@ -1,10 +1,10 @@
 """Static checks on the package source: every import is used, no module
 keeps state of its own between calls, no handler only re-labels the
 exception it caught, every private top-level name is used, only the
-command line prints, every text-mode ``open`` names its encoding, only
-``_lag_moments`` warns, the objective's sums make no BLAS products, and
-every exported name has a caller in the package or is a listed reference
-implementation."""
+command line prints, only ``ingest`` opens files or uses ``os``, every
+text-mode ``open`` names its encoding, only ``_lag_moments`` warns, the
+objective's sums make no BLAS products, and every exported name has a
+caller in the package or is a listed reference implementation."""
 
 import ast
 import re
@@ -182,6 +182,55 @@ def test_detects_printing():
                          ids=lambda p: p.name)
 def test_only_cli_prints(module):
     assert printing(module.read_text()) == []
+
+
+# Modules that reach the file system, and methods that open, read or write
+# a file (on a path object, or numpy's readers and writers).
+FILE_MODULES = {"io", "os", "pathlib", "shutil", "tempfile"}
+FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes",
+                "loadtxt", "genfromtxt", "savetxt", "fromfile", "tofile"}
+
+
+def file_access(source: str) -> list[str]:
+    """Calls of the builtin ``open`` or of a method in ``FILE_METHODS``, and
+    imports from or attributes of a module in ``FILE_MODULES``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "open":
+            found.append((node.lineno, "open"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in FILE_METHODS:
+            found.append((node.lineno, f".{node.func.attr}()"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name.partition(".")[0] in FILE_MODULES]
+        elif isinstance(node, ast.ImportFrom) \
+                and (node.module or "").partition(".")[0] in FILE_MODULES:
+            found.append((node.lineno, f"from {node.module} import"))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in FILE_MODULES:
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_detects_file_access():
+    source = ("import os\nimport os.path as osp\nfrom pathlib import Path\n"
+              "with open(p, encoding='utf-8') as fh:\n    pass\n"
+              "if os.path.exists(p):\n    fh = Path(p).open()\n"
+              "text = p.read_text(encoding='utf-8')\nx = np.loadtxt(p)\n"
+              "cli.open_input(p)\n")
+    assert file_access(source) == [
+        "import os (line 1)", "import os.path (line 2)", "from pathlib import (line 3)",
+        "open (line 4)", "os.path (line 6)", ".open() (line 7)",
+        ".read_text() (line 8)", ".loadtxt() (line 9)"]
+
+
+@pytest.mark.parametrize("module", [p for p in sorted(PACKAGE.glob("*.py"))
+                                    if p.name != "ingest.py"], ids=lambda p: p.name)
+def test_only_ingest_opens_files(module):
+    # every file is read and written in one module, which names it in any error
+    assert file_access(module.read_text()) == []
 
 
 def locale_opens(source: str) -> list[str]:

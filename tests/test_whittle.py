@@ -787,6 +787,14 @@ class TestParamBox:
         assert box.nu_bounds(2.0) == (0.1 * 2.0**0.001, 10.0 * 2.0**0.99)
         assert box.nu_bounds(1.0) == (0.1, 10.0)
 
+    @pytest.mark.parametrize("box, delta", [
+        (rv.ParamBox(eta_min=5e-324), 1.0 / 250.0),  # eta_min * delta**h_max underflows to 0
+        (rv.ParamBox(eta_max=1e308), 2.0),  # eta_max * delta**h_max overflows
+    ])
+    def test_nu_bounds_outside_floats(self, box, delta):
+        with pytest.raises(ValueError, match="not positive and finite"):
+            box.nu_bounds(delta)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             rv.ParamBox(h_min=0.5, h_max=0.2)
