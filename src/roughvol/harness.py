@@ -3,8 +3,8 @@ comparison, and proxy-error z-score checks.
 
 Every path seed derives from a stable mix of the base seed, the cell
 parameters and the path index, so results are reproducible bit for bit,
-adding grid cells never perturbs existing ones, and worker-pool scheduling
-cannot change any number, nor can the BLAS thread count.
+adding grid cells never perturbs existing ones, and no number depends on
+worker-pool scheduling or the BLAS thread count (the objective calls no BLAS).
 
 Functions here return records, failure reasons included; only ``cli`` prints.
 """

@@ -141,9 +141,16 @@ def open_input(path):
         raise IngestError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
-def _data_rows(reader):
-    """(line number, row) of each row after the header with a nonblank cell."""
-    return ((n, row) for n, row in enumerate(reader, start=2) if any(c.strip() for c in row))
+@contextmanager
+def _csv_rows(path):
+    """The header (None if empty) and (line number, row) of each later nonblank row."""
+    with open_input(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            yield next(reader, None), ((reader.line_num, row) for row in reader
+                                       if any(c.strip() for c in row))
+        except csv.Error as exc:
+            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def read_rv_csv(
@@ -165,11 +172,8 @@ def read_rv_csv(
     values: list[float] = []
     dates: list[str] = []
     reasons: Counter = Counter()
-    rows_read = 0
 
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with _csv_rows(path) as (header, data):
         if header is None:
             raise IngestError(f"{path}: empty file")
         names = [cell.strip() for cell in header]
@@ -181,8 +185,7 @@ def read_rv_csv(
             ) from None
         date_index = names.index(date_column) if date_column in names else None
 
-        for lineno, row in _data_rows(reader):
-            rows_read += 1
+        for rows_read, (lineno, row) in enumerate(data, start=1):
             if max(value_index, date_index or 0) >= len(row):
                 raise IngestError(f"{path}: line {lineno}: too few columns")
             cell = row[value_index].strip()
@@ -209,7 +212,7 @@ def read_rv_csv(
     dropped = sum(reasons.values())
     if not values:
         raise IngestError(
-            f"{path}: all {rows_read} rows dropped ({dict(reasons)}); nothing to analyze"
+            f"{path}: all {dropped} rows dropped ({dict(reasons)}); nothing to analyze"
         )
     if strict and dropped:
         raise IngestError(
@@ -273,12 +276,10 @@ def read_float_table(path, columns) -> np.ndarray:
     columns = list(columns)
     width = len(columns)
     rows = []
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with _csv_rows(path) as (header, data):
         if header is None or [cell.strip() for cell in header[:width]] != columns:
             raise IngestError(f"{path}: expected header {','.join(columns)!r}")
-        for lineno, row in _data_rows(reader):
+        for lineno, row in data:
             try:
                 rows.append([float(row[i]) for i in range(width)])
             except (IndexError, ValueError):

@@ -81,15 +81,14 @@ def _alias_direct(lam1: np.ndarray, k_cut: int, exponent: float) -> np.ndarray:
     return alias + 0.5 * (1.0 / (TWO_PI * s2)) * (d2_k + d2_k1)
 
 
-# Number of even-power terms in the exact binomial rearrangement of
-# DenseNodes; enough for machine precision at |lambda|/(2 pi) <= 1/2.
-_SERIES_TERMS = 40
-_TWO_I = 2.0 * np.arange(_SERIES_TERMS, dtype=float)
+# Exponents 2i of the 40 even-power terms in the exact binomial rearrangement
+# of DenseNodes; enough for machine precision at |lambda|/(2 pi) <= 1/2.
+_TWO_I = 2.0 * np.arange(40, dtype=float)
 
 
 class DenseNodes:
     """A fixed frequency grid holding every part of the density that does
-    not depend on hurst: arrays of the frequencies only.
+    not depend on hurst: arrays with one entry per node.
 
     The truncated alias sum and its Paxson tail are rearranged exactly as
     one even power series in u = lambda / (2 pi). Each pair of terms
@@ -98,11 +97,11 @@ class DenseNodes:
     |u| < k; over k = 1..K these give partial zeta sums, and the tail
     terms (exponent s - 1 at k = K and K + 1) give two powers each, so the
     40 coefficients depend on (H, K) only. The grid keeps |lambda|, ratio2
-    = (2(1 - cos lambda)/lambda^2)^2 = sinc(u)^4, lambda^4 and the 40 x N
-    powers u^(2i); none of them grows with K. One density evaluation is
-    then 40 coefficients from ``gammaln`` and ``zeta``, one
-    40-vector-matrix product and one power |lambda|^(1-2H). Build one per
-    grid and pass it to :func:`f_h_dense` in place of the frequencies.
+    = (2(1 - cos lambda)/lambda^2)^2 = sinc(u)^4, lambda^4 and u^2. One
+    density evaluation is then 40 coefficients from ``gammaln`` and
+    ``zeta``, Horner's rule in u^2 (39 multiply-adds, no BLAS call) and
+    one power |lambda|^(1-2H). Build one per grid and pass it to
+    :func:`f_h_dense` in place of the frequencies.
     """
 
     def __init__(self, lam, paxson_k: int = SpectralConfig.paxson_k):
@@ -117,23 +116,23 @@ class DenseNodes:
         self.at_origin = bool(np.any(lam1 == 0.0))
         self.ratio2 = np.sinc(lam1 / TWO_PI) ** 4
         self.lam4 = lam1**4
-        u2 = (lam1 / TWO_PI) ** 2
-        self.u_powers = np.empty((_SERIES_TERMS, lam1.size))
-        self.u_powers[0] = 1.0
-        for i in range(1, _SERIES_TERMS):
-            np.multiply(self.u_powers[i - 1], u2, out=self.u_powers[i])
+        self.u2 = (lam1 / TWO_PI) ** 2
 
     def alias_sum(self, exponent: float) -> np.ndarray:
         """The truncated alias sum at ``exponent`` = 3 + 2H plus its
-        trapezoid-style tail, as one power series in the stored u^(2i)."""
+        trapezoid-style tail, as one power series in the stored u^2."""
         k_cut, s2 = self.paxson_k, exponent - 1.0  # tail integrals: exponent -(2+2H)
         powers, tail_powers = exponent + _TWO_I, s2 + _TWO_I
         binom = np.exp(gammaln(powers) - gammaln(_TWO_I + 1.0) - gammaln(exponent))
         tail_binom = np.exp(gammaln(tail_powers) - gammaln(_TWO_I + 1.0) - gammaln(s2))
         zeta_partial = zeta(powers) - zeta(powers, k_cut + 1.0)  # sum_{k<=K} k^(-powers)
         tail = (k_cut ** -tail_powers + (k_cut + 1.0) ** -tail_powers) / s2
-        coef = 2.0 * binom * zeta_partial + tail_binom * tail
-        return TWO_PI ** (-exponent) * coef @ self.u_powers
+        coef = TWO_PI ** (-exponent) * (2.0 * binom * zeta_partial + tail_binom * tail)
+        acc = np.full_like(self.u2, coef[-1])
+        for c in coef[-2::-1]:
+            acc *= self.u2
+            acc += c
+        return acc
 
 
 def _density(nodes: DenseNodes, hurst: float, alias_sum):

@@ -443,6 +443,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {series}: line 3: too few columns\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["ingest-check", "--rv", "{bad}", "--m", 78],
+                                      ["estimate", "--rv", "{rv}", "--m", 78, "--starts", "{bad}"]],
+                             ids=["ingest-check --rv", "estimate --starts"])
+    def test_csv_module_error_exits_one_naming_the_line(self, argv, rv300, tmp_path, capsys):
+        # a quoted cell longer than the csv module's field size limit (131,072)
+        bad = tmp_path / "input.csv"
+        bad.write_text('h,nu,rv\n0.1,0.5,1e-4\n"' + "1" * 140_000 + '",0.5,1e-4\n')
+        assert run([str(a).format(bad=bad, rv=rv300) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 3: field larger than field limit"), err
+
     @pytest.mark.parametrize("sub", [["mc"], ["illusion", "--days", 10]])
     def test_zero_workers_rejected_by_the_library(self, sub, tmp_path, capsys):
         code = run(sub + ["--seed", 1, "--workers", 0, "--out", tmp_path / "out.csv"])

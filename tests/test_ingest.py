@@ -66,6 +66,10 @@ class TestReadRvCsv:
         target.write_text("date,rv\n1,1e-4\n2,oops\n")
         with pytest.raises(IngestError, match="line 3"):
             rv.read_rv_csv(target, m=78)
+        # after a quoted cell spanning two lines: the line in the file, not the row count
+        target.write_text('date,rv,note\n1,1e-4,"two\nlines"\n2,oops,x\n')
+        with pytest.raises(IngestError, match="line 4"):
+            rv.read_rv_csv(target, m=78)
 
     def test_row_shorter_than_date_column_is_parse_error(self, tmp_path):
         target = tmp_path / "rv.csv"

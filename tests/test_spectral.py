@@ -174,6 +174,14 @@ class TestDenseNodes:
         assert np.array_equal(rv.f_h_dense(node_set, 0.3, 400),
                               rv.f_h_dense(np.array([0.2, 1.0]), 0.3, 400))
 
+    def test_every_array_has_one_entry_per_node(self):
+        # a node set grows with the grid alone: no per-node powers, nothing per alias term
+        lam = np.linspace(-math.pi, math.pi, 37).reshape(37, 1)
+        for paxson_k in (1, 500):
+            shapes = {name: value.shape for name, value in vars(rv.DenseNodes(lam, paxson_k)).items()
+                      if isinstance(value, np.ndarray)}
+            assert shapes and set(shapes.values()) == {(37,)}, shapes
+
     def test_rejects_bad_node_sets(self):
         with pytest.raises(ValueError, match="lambda must lie"):
             rv.DenseNodes(np.array([0.5, 4.0]))
