@@ -49,12 +49,12 @@ _EXPERIMENT_START_NU = (0.05, 0.5, 2.0)
 
 
 def intraday_counts(values) -> tuple[int, ...]:
-    """``values`` as ints: whole numbers such as ``80.0`` or ``4e2`` pass, any
-    other value raises ``ValueError`` naming it."""
+    """``values`` as ints: whole numbers from 1 up such as ``80.0`` or ``4e2``
+    pass, any other value raises ``ValueError`` naming it."""
     values = tuple(values)
-    fractional = [str(v) for v in values if not float(v).is_integer()]
-    if fractional:
-        raise ValueError(f"intraday counts must be whole numbers, got {', '.join(fractional)}")
+    bad = [str(v) for v in values if not float(v).is_integer() or float(v) < 1]
+    if bad:
+        raise ValueError(f"intraday counts must be positive whole numbers, got {', '.join(bad)}")
     return tuple(int(v) for v in values)
 
 

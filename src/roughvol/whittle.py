@@ -34,9 +34,9 @@ from .spectral import (
 )
 
 _MAX_REFINEMENTS = 4
-# Densities a workspace keeps, keyed by (level, hurst): enough for the three
-# hurst values of one L-BFGS-B gradient stencil at quadrature levels 0 and 1.
-_DENSITY_CACHE = 6
+# Densities a workspace keeps, keyed by hurst: enough for the three hurst
+# values of one L-BFGS-B gradient stencil.
+_DENSITY_CACHE = 3
 # Successful L-BFGS-B descents per fit, from the best-screened starts.
 _DESCENTS = 2
 # Minima this close (relative) are one optimum; the earliest descent in
@@ -287,15 +287,16 @@ def _gauss_panels(
 class WhittleObjective:
     """Reusable objective for one increment series.
 
-    Precomputes once the sample autocovariance and its lag moments for
-    the a2 correction, and per quadrature level the periodogram and the
-    :class:`DenseNodes` of the density on that level's nodes; each (hurst,
-    nu) evaluation then only does the hurst-dependent work, and reuses the
-    density of the last ``_DENSITY_CACHE`` (level, hurst) pairs, as it does
-    not depend on nu. The quadrature refines panel splits until successive
-    values agree within the configured tolerances. Its long sums are
-    ``einsum`` reductions, whose bits, unlike a threaded BLAS dot's, do not
-    depend on the BLAS thread count.
+    Precomputes once the sample autocovariance and its lag moments for the
+    a2 correction, and one node set for quadrature levels 0..depth, level L
+    splitting each panel 2**L ways: its :class:`DenseNodes`, periodogram,
+    noise floor and each level's slice and weights. A (hurst, nu) value then
+    takes one density, kept for the last ``_DENSITY_CACHE`` hurst values as it
+    does not depend on nu, and is that of the first level L >= 1 within the
+    configured tolerances of level L - 1; if none is, the set deepens for
+    good, up to level ``_MAX_REFINEMENTS``. Its long sums are ``einsum``
+    reductions, whose bits, unlike a threaded BLAS dot's, do not depend on
+    the BLAS thread count.
     """
 
     def __init__(self, y: LogRvIncrements, config: SpectralConfig | None = None):
@@ -309,33 +310,19 @@ class WhittleObjective:
         width_cap = min((math.pi - psi) / 16.0, 2.0 * TWO_PI / max(self.n, _MIN_INCREMENTS))
         self._breaks = _panel_breakpoints(psi, math.pi, 2.0, width_cap)
         self._a2_moments = _autocovariance_moments(self.gamma_hat, psi, self.config.taylor_j)
-        self._levels: dict[int, tuple[DenseNodes, np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._densities: dict[tuple[int, float], np.ndarray] = {}  # oldest first
+        self._densities: dict[float, np.ndarray] = {}  # oldest first
+        self._build(1)
 
-    def _level(self, level: int):
-        cached = self._levels.get(level)
-        if cached is None:
-            nodes, weights = _gauss_panels(
-                self._breaks, 2**level, _GL16_NODES, _GL16_WEIGHTS
-            )
-            i_vals = periodogram(self.y, nodes)
-            ell_vals = ell(nodes)
-            cached = (DenseNodes(nodes, self.config.paxson_k), weights, i_vals, ell_vals)
-            self._levels[level] = cached
-        return cached
-
-    def _main_integral(self, hurst: float, nu: float, level: int) -> float:
-        nodes, weights, i_vals, ell_vals = self._level(level)
-        f = self._densities.get((level, hurst))
-        if f is None:
-            f = f_h_dense(nodes, hurst, self.config.paxson_k)
-            if len(self._densities) == _DENSITY_CACHE:
-                del self._densities[next(iter(self._densities))]
-            self._densities[level, hurst] = f
-        g = nu * nu * f
-        g += (2.0 / self.m) * ell_vals
-        integrand = np.log(g) + i_vals / g
-        return float(np.einsum("i,i->", weights, integrand)) / TWO_PI
+    def _build(self, depth: int) -> None:
+        levels = [_gauss_panels(self._breaks, 2**level, _GL16_NODES, _GL16_WEIGHTS)
+                  for level in range(depth + 1)]
+        nodes = np.concatenate([level_nodes for level_nodes, _ in levels])
+        self._nodes = DenseNodes(nodes, self.config.paxson_k)
+        self._i_vals = periodogram(self.y, nodes)
+        self._noise = (2.0 / self.m) * ell(nodes)
+        ends = np.cumsum([0] + [len(weights) for _, weights in levels]).tolist()
+        self._weights = [(slice(a, b), w) for a, b, (_, w) in zip(ends, ends[1:], levels)]
+        self._densities.clear()
 
     def corrections(self, hurst: float, nu: float) -> float:
         """Objective mass below the cut frequency: a1 + a2."""
@@ -346,21 +333,31 @@ class WhittleObjective:
     def value(self, hurst: float, nu: float) -> float:
         _validate_point(hurst, nu)
         corr = self.corrections(hurst, nu)
-        previous = self._main_integral(hurst, nu, 0)
-        error = math.inf
-        for level in range(1, _MAX_REFINEMENTS + 1):
-            current = self._main_integral(hurst, nu, level)
-            error = abs(current - previous)
-            total = current + corr
-            tol = max(self.config.quad_abs_tol, self.config.quad_rel_tol * abs(total))
-            if error <= tol:
-                return total
-            previous = current
-        raise QuadratureError(
-            f"objective quadrature did not converge after {_MAX_REFINEMENTS} "
-            f"refinements (last change {error:.3e})",
-            error_estimate=error,
-        )
+        while True:
+            f = self._densities.get(hurst)
+            if f is None:
+                f = f_h_dense(self._nodes, hurst, self.config.paxson_k)
+                if len(self._densities) == _DENSITY_CACHE:
+                    del self._densities[next(iter(self._densities))]
+                self._densities[hurst] = f
+            g = nu * nu * f
+            g += self._noise
+            integrand = np.log(g) + self._i_vals / g
+            integrals = [float(np.einsum("i,i->", weights, integrand[part])) / TWO_PI
+                         for part, weights in self._weights]
+            for previous, current in zip(integrals, integrals[1:]):
+                error = abs(current - previous)
+                total = current + corr
+                tol = max(self.config.quad_abs_tol, self.config.quad_rel_tol * abs(total))
+                if error <= tol:
+                    return total
+            if len(self._weights) > _MAX_REFINEMENTS:
+                raise QuadratureError(
+                    f"objective quadrature did not converge after {_MAX_REFINEMENTS} "
+                    f"refinements (last change {error:.3e})",
+                    error_estimate=error,
+                )
+            self._build(len(self._weights))
 
 
 def objective(
@@ -490,7 +487,7 @@ def estimate(
     relative of the lowest, so when descents reach the same optimum the
     better-screened start supplies (h_hat, nu_hat) and ``start_used``,
     whatever the last ulp of each minimum. The diffusion estimate is eta =
-    nu * delta**(-hurst).
+    nu * delta**(-hurst). A start with nu <= 0 raises ``ValueError``.
     """
     if len(y) < _MIN_INCREMENTS:
         raise ValueError(f"estimate needs at least {_MIN_INCREMENTS} increments, got {len(y)}")
@@ -500,6 +497,9 @@ def estimate(
     starts = [(float(h), float(v)) for h, v in starts]
     if not starts:
         raise ValueError("starts must be nonempty")
+    nonpositive = [start for start in starts if start[1] <= 0.0]
+    if nonpositive:
+        raise ValueError(f"start {nonpositive[0]}: nu must be positive")
     nu_lo, nu_hi = box.nu_bounds(y.delta)
 
     workspace = WhittleObjective(y, config)

@@ -392,7 +392,9 @@ class TestExitCodes:
         "scaling --lags 1,x",
         "illusion --frequencies abc",
         "illusion --frequencies 80.7",
+        "illusion --frequencies 0,80",
         "mc --m 399.9",
+        "mc --m 80,-1",
     ])
     def test_malformed_list_flag_exits_one(self, command, rv300, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -405,6 +407,13 @@ class TestExitCodes:
         assert err.startswith(f"error: argument {flag}: invalid ")
         assert err.endswith(f" value: '{value}'\n")
         assert not out.exists()
+
+    def test_nonpositive_nu_start_exits_one(self, rv300, tmp_path, capsys):
+        starts = tmp_path / "starts.csv"
+        starts.write_text("h,nu\n0.3,0.5\n0.1,-1\n")
+        assert run(["estimate", "--rv", rv300, "--m", 80, "--starts", starts]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: start (0.1, -1.0): nu must be positive"
 
     def test_underflowing_nu_range_exits_one(self, rv300, capsys):
         # eta_min * delta**h_max underflows to 0: the log-nu box would be unbounded

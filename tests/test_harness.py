@@ -198,6 +198,11 @@ class TestIllusionExperiment:
         with pytest.raises(ValueError, match="whole numbers, got 8.5$"):
             rv.run_illusion_experiment(seed=1, frequencies=(8.5, 16), n_days=60)
 
+    def test_rejects_zero_frequency(self):
+        # a zero count used to reach m_grid % m and raise ZeroDivisionError
+        with pytest.raises(ValueError, match="positive whole numbers, got 0$"):
+            rv.run_illusion_experiment(seed=1, frequencies=(0, 80), n_days=20)
+
 
 class TestZscoreExperiment:
     def test_moments_near_limit(self):
@@ -220,6 +225,12 @@ class TestConfigValidation:
     def test_fractional_intraday_counts_rejected(self):
         with pytest.raises(ValueError, match="whole numbers, got 80.5, 399.9$"):
             rv.McConfig(m_list=(80.5, 399.9))
+
+    def test_intraday_counts_below_one_rejected(self):
+        with pytest.raises(ValueError, match="positive whole numbers, got 0, -4$"):
+            harness.intraday_counts((0, 80, -4))
+        with pytest.raises(ValueError, match="positive whole numbers, got 0.0$"):
+            rv.McConfig(m_list=(80, 0.0))
 
     def test_integral_float_intraday_counts_become_ints(self):
         m_list = rv.McConfig(m_list=(80.0, 4e2, np.int64(1000))).m_list

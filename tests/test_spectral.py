@@ -103,10 +103,10 @@ class TestFh:
 
 
 def workspace_nodes(n):
-    """The level-0 and level-1 quadrature nodes of a workspace on n increments."""
+    """The quadrature nodes of a workspace on n increments, levels 0 and 1
+    in one node set."""
     y = rv.LogRvIncrements(np.random.default_rng(n).standard_normal(n), delta=1.0 / 250.0, m=80)
-    workspace = rv.WhittleObjective(y)
-    return [workspace._level(level)[0].lam1 for level in (0, 1)]
+    return rv.WhittleObjective(y)._nodes.lam1
 
 
 NODE_SET_HURSTS = (0.001, 0.01, 0.1, 0.5, 0.9, 0.99)
@@ -115,16 +115,16 @@ NODE_SET_HURSTS = (0.001, 0.01, 0.1, 0.5, 0.9, 0.99)
 class TestDenseNodes:
     @pytest.mark.parametrize("n_days", [501, 2500])
     def test_node_set_equals_plain_call_and_direct_sum(self, n_days):
-        for nodes in workspace_nodes(n_days - 1):
-            node_set = rv.DenseNodes(nodes, 500)
-            for hurst in NODE_SET_HURSTS:
-                fast = rv.f_h_dense(node_set, hurst)
-                assert np.array_equal(fast, rv.f_h_dense(nodes, hurst))
-                # the direct sum in chunks keeps its K x N temporaries small
-                direct = np.concatenate(
-                    [rv.f_h(chunk, hurst, 500) for chunk in np.array_split(nodes, 8)]
-                )
-                assert np.max(np.abs(fast - direct) / direct) < 1e-12
+        nodes = workspace_nodes(n_days - 1)
+        node_set = rv.DenseNodes(nodes, 500)
+        for hurst in NODE_SET_HURSTS:
+            fast = rv.f_h_dense(node_set, hurst)
+            assert np.array_equal(fast, rv.f_h_dense(nodes, hurst))
+            # the direct sum in chunks keeps its K x N temporaries small
+            direct = np.concatenate(
+                [rv.f_h(chunk, hurst, 500) for chunk in np.array_split(nodes, 8)]
+            )
+            assert np.max(np.abs(fast - direct) / direct) < 1e-12
 
     @pytest.mark.parametrize("paxson_k", [1, 2, 7])
     def test_small_truncation_matches_direct_sum(self, paxson_k):

@@ -9,6 +9,7 @@ integrand.
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -453,19 +454,28 @@ class TestObjective:
 
 
 class TestDensityCache:
-    """A workspace keeps the densities of its last few (level, hurst) pairs;
-    reusing them changes no value."""
+    """A workspace keeps the densities of its last few hurst values; reusing
+    them changes no value, nor does deepening the node set."""
 
     def test_values_match_fresh_workspaces(self, small_sim_series):
+        def outcome(workspace, hurst, nu):
+            try:
+                return workspace.value(hurst, nu)
+            except rv.QuadratureError as exc:
+                return str(exc), exc.error_estimate
+
         # stencil-like runs at one hurst, revisits after eviction, new hurst values
         hursts = [0.1, 0.1, 0.1, 0.2, 0.1, 0.3, 0.4, 0.1, 0.5, 0.5,
                   0.6, 0.1, 0.2, 0.7, 0.7, 0.7, 0.05, 0.3, 0.05, 0.9]
         nus = np.geomspace(0.2, 3.0, len(hursts))
-        workspace = rv.WhittleObjective(small_sim_series)
-        for hurst, nu in zip(hursts, nus):
-            value = workspace.value(hurst, nu)
-            assert value == rv.WhittleObjective(small_sim_series).value(hurst, nu)
-            assert len(workspace._densities) <= whittle._DENSITY_CACHE
+        # the second config deepens the workspace's node set past level 1
+        for config in (rv.SpectralConfig(),
+                       rv.SpectralConfig(quad_rel_tol=1e-15, quad_abs_tol=1e-300)):
+            workspace = rv.WhittleObjective(small_sim_series, config)
+            for hurst, nu in zip(hursts, nus):
+                fresh = rv.WhittleObjective(small_sim_series, config)
+                assert outcome(workspace, hurst, nu) == outcome(fresh, hurst, nu)
+                assert len(workspace._densities) <= whittle._DENSITY_CACHE
 
     def test_screening_computes_each_density_once(self, small_sim_series, monkeypatch):
         calls = []
@@ -478,8 +488,8 @@ class TestDensityCache:
         starts = rv.default_starts(rv.ParamBox(), small_sim_series.delta)
         screened_order(small_sim_series, starts)
         assert len(starts) == 44
-        # two quadrature levels for each of the 11 hurst values
-        assert len(calls) == 2 * 11 and len(set(calls)) == 11
+        # one density on both quadrature levels for each of the 11 hurst values
+        assert len(calls) == 11 and len(set(calls)) == 11
 
 
 class TestObjectiveOracle:
@@ -537,6 +547,16 @@ class TestEstimate:
     def test_empty_starts_rejected(self, small_sim_series):
         with pytest.raises(ValueError, match="starts"):
             rv.estimate(small_sim_series, starts=[])
+
+    @pytest.mark.parametrize("nu", [0.0, -1.0, -math.inf])
+    def test_nonpositive_nu_start_rejected_before_screening(self, small_sim_series,
+                                                            monkeypatch, nu):
+        screened = []
+        monkeypatch.setattr(whittle.WhittleObjective, "value",
+                            lambda self, hurst, nu: screened.append((hurst, nu)))
+        with pytest.raises(ValueError, match=re.escape(f"start (0.1, {nu!r}): nu must be")):
+            rv.estimate(small_sim_series, starts=[(0.3, 0.5), (0.1, nu)])
+        assert screened == []
 
     def test_condition_warnings(self, small_sim_series, recwarn):
         # conditions are data for the caller to report; the fit never warns
