@@ -31,6 +31,7 @@ from .harness import (
     run_illusion_experiment,
     run_mc_table,
     run_zscore_experiment,
+    single_blas_thread,
 )
 from .ingest import (
     DATE_COLUMN,
@@ -67,7 +68,11 @@ def _float_tuple(text: str) -> tuple:
 
 
 def _int_tuple(text: str) -> tuple:
-    return intraday_counts(_float_tuple(text))
+    # argparse shows an ArgumentTypeError's own text, which names the rejected count
+    try:
+        return intraday_counts(part.strip() for part in text.split(",") if part.strip() != "")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
 
 
 def _summary(record, names) -> str:
@@ -364,7 +369,7 @@ def _mc_config_from_args(args) -> McConfig:
                 raise ValueError(f"{args.config}: unknown key {key!r}")
             try:
                 fields[key] = parsers[key](val)
-            except ValueError:
+            except (ValueError, argparse.ArgumentTypeError):
                 raise ValueError(f"{args.config}: cannot parse {key} = {val!r}") from None
     for key, _, flag, _ in _MC_SETTINGS:
         if flag is not None and getattr(args, flag) is not None:
@@ -466,6 +471,7 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
+    single_blas_thread()  # the command owns its process; dispatch leaves it alone
     sys.exit(dispatch(sys.argv[1:]))
 
 

@@ -5,12 +5,15 @@ Every path seed derives from a stable mix of the base seed, the cell
 parameters and the path index, so results are reproducible bit for bit,
 adding grid cells never perturbs existing ones, and no number depends on
 worker-pool scheduling or the BLAS thread count (the objective calls no BLAS).
+Pool workers, like the ``roughvol`` command, run OpenBLAS on one thread
+(:func:`single_blas_thread`); a library call leaves its caller's process alone.
 
 Functions here return records, failure reasons included; only ``cli`` prints.
 """
 
 from __future__ import annotations
 
+import ctypes
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -55,7 +58,7 @@ def intraday_counts(values) -> tuple[int, ...]:
     bad = [str(v) for v in values if not float(v).is_integer() or float(v) < 1]
     if bad:
         raise ValueError(f"intraday counts must be positive whole numbers, got {', '.join(bad)}")
-    return tuple(int(v) for v in values)
+    return tuple(int(float(v)) for v in values)
 
 
 @dataclass(frozen=True)
@@ -170,15 +173,51 @@ def _fit_one_path(config: McConfig, h0: float, eta0: float, m: int, path_index: 
     return (path_index, fit.h_hat, fit.eta_hat, None)
 
 
+# Thread-count setters of the OpenBLAS in numpy's and scipy's wheels, then upstream's.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _loaded_libraries() -> list[str]:
+    """Paths of the shared objects loaded in this process, walked with
+    ``dl_iterate_phdr``; empty where the C library has no such walk."""
+    class Info(ctypes.Structure):  # the leading fields of struct dl_phdr_info
+        _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+    paths = []
+
+    @ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(Info), ctypes.c_size_t, ctypes.c_void_p)
+    def visit(info, size, data):
+        paths.append((info.contents.name or b"").decode(errors="surrogateescape"))
+        return 0  # go on to the next object
+
+    walk = getattr(ctypes.CDLL(None), "dl_iterate_phdr", None)
+    if walk is not None:
+        walk(visit, None)
+    return paths
+
+
+def single_blas_thread() -> None:
+    """Set every OpenBLAS loaded in this process to one thread, if any. After
+    each L-BFGS-B call scipy's copy keeps a helper thread spinning, which
+    oversubscribes the cores of a worker pool. No number depends on it."""
+    for path in _loaded_libraries():
+        if "openblas" in path:
+            library = ctypes.CDLL(path)  # the loaded copy, not a second one
+            for name in _BLAS_THREAD_SETTERS:
+                if hasattr(library, name):
+                    getattr(library, name)(1)
+                    break
+
+
 def _map(fn, tasks, workers: int, chunksize: int = 1) -> list:
     """``[fn(*task) for task in tasks]``, in task order: in this process for
-    one worker, else in a pool of ``workers`` processes."""
+    one worker, else in ``workers`` processes on one BLAS thread each."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     columns = zip(*tasks)  # one sequence per argument of fn
     if workers == 1:
         return list(map(fn, *columns))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=single_blas_thread) as pool:
         return list(pool.map(fn, *columns, chunksize=chunksize))
 
 

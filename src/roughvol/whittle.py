@@ -132,8 +132,8 @@ class WhittleFit:
 def _validate_point(hurst: float, nu: float) -> None:
     if not 0.0 < hurst <= 1.0:
         raise ValueError(f"hurst must be in (0, 1], got {hurst}")
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
+    if not 0.0 < nu < math.inf:  # a nan would deepen the node set for good
+        raise ValueError(f"nu must be positive and finite, got {nu}")
 
 
 def _validate_cut(psi: float, m: int) -> None:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -386,26 +387,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and not err.startswith("error: ValueError")
 
-    @pytest.mark.parametrize("command", [
-        "scaling --qs 0.5,abc",
-        "scaling --lags 1:x",
-        "scaling --lags 1,x",
-        "illusion --frequencies abc",
-        "illusion --frequencies 80.7",
-        "illusion --frequencies 0,80",
-        "mc --m 399.9",
-        "mc --m 80,-1",
-    ])
-    def test_malformed_list_flag_exits_one(self, command, rv300, tmp_path, capsys):
+    @pytest.mark.parametrize("command, message", [pytest.param(*case, id=case[0]) for case in [
+        ("scaling --qs 0.5,abc", "invalid _float_tuple value: '0.5,abc'"),
+        ("scaling --lags 1:x", "invalid _parse_lags value: '1:x'"),
+        ("scaling --lags 1,x", "invalid _parse_lags value: '1,x'"),
+        ("illusion --frequencies abc", "could not convert string to float: 'abc'"),
+        # an intraday count is named as it was typed
+        ("illusion --frequencies 80.7", "intraday counts must be positive whole numbers, got 80.7"),
+        ("illusion --frequencies 0,80", "intraday counts must be positive whole numbers, got 0"),
+        ("mc --m 399.9", "intraday counts must be positive whole numbers, got 399.9"),
+        ("mc --m 80,-1", "intraday counts must be positive whole numbers, got -1"),
+    ]])
+    def test_malformed_list_flag_exits_one(self, command, message, rv300, tmp_path, capsys):
         out = tmp_path / "out.csv"
         required = {"scaling": ["--rv", rv300, "--out", out],
                     "illusion": ["--seed", 1, "--out", out],
                     "mc": ["--seed", 1, "--out", out]}
         sub, flag, value = command.split()
         assert run([sub, flag, value] + required[sub]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: argument {flag}: invalid ")
-        assert err.endswith(f" value: '{value}'\n")
+        assert capsys.readouterr().err == f"error: argument {flag}: {message}\n"
         assert not out.exists()
 
     def test_nonpositive_nu_start_exits_one(self, rv300, tmp_path, capsys):
@@ -556,3 +556,25 @@ class TestOutputFormat:
                 assert format_cell(value) == cell  # 17 digits: float(cell) is exact
                 n_floats += "." in cell or "e" in cell
         assert n_floats
+
+
+class TestMain:
+    def test_runs_blas_on_one_thread_before_dispatch(self, monkeypatch):
+        # the command owns its process, so its OpenBLAS runs on one thread
+        calls = []
+        monkeypatch.setattr(cli, "single_blas_thread", lambda: calls.append("single_blas_thread"))
+        monkeypatch.setattr(cli, "dispatch", lambda argv: calls.append(argv) or 3)
+        monkeypatch.setattr(sys, "argv", ["roughvol", "zscore", "--help"])
+        with pytest.raises(SystemExit) as stop:
+            cli.main()
+        assert calls == ["single_blas_thread", ["zscore", "--help"]]
+        assert stop.value.code == 3
+
+    def test_dispatch_leaves_the_process_alone(self, monkeypatch):
+        # tests and benchmarks call dispatch in their own process
+        def refuse():
+            raise AssertionError("dispatch set the BLAS thread count")
+
+        monkeypatch.setattr(cli, "single_blas_thread", refuse)
+        monkeypatch.setattr(harness, "single_blas_thread", refuse)
+        assert run(["zscore", "--m", 10, "--days", 10, "--seed", 1]) == 0

@@ -6,6 +6,7 @@ Monte Carlo noise; the published-table reproduction runs at full scale in
 the acceptance suite.
 """
 
+import ctypes
 import dataclasses
 import json
 import math
@@ -161,6 +162,38 @@ def fit_bits_with_blas_threads(threads: int) -> list:
 def test_fit_bits_do_not_depend_on_blas_threads():
     # the thread count is set in each child's environment only
     assert fit_bits_with_blas_threads(1) == fit_bits_with_blas_threads(2)
+
+
+# The thread-count getters that match harness._BLAS_THREAD_SETTERS.
+BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def blas_thread_counts(task=None) -> dict:
+    """The thread count of each OpenBLAS loaded in this process, by path."""
+    counts = {}
+    for path in harness._loaded_libraries():
+        if "openblas" in path:
+            library = ctypes.CDLL(path)
+            getter = next(name for name in BLAS_THREAD_GETTERS if hasattr(library, name))
+            counts[path] = getattr(library, getter)()
+    return counts
+
+
+class TestSingleBlasThread:
+    def test_pool_workers_run_blas_on_one_thread(self):
+        caller = blas_thread_counts()
+        assert caller  # numpy's and scipy's wheels each bring one
+        in_workers = harness._map(blas_thread_counts, [(task,) for task in range(4)], workers=2)
+        assert in_workers == [dict.fromkeys(caller, 1)] * 4
+        assert blas_thread_counts() == caller  # the caller's process is left alone
+
+    def test_does_nothing_without_openblas(self, monkeypatch):
+        before = blas_thread_counts()
+        monkeypatch.setattr(harness, "_loaded_libraries", lambda: ["", "linux-vdso.so.1"])
+        assert harness.single_blas_thread() is None
+        monkeypatch.undo()
+        assert blas_thread_counts() == before
 
 
 class TestIllusionExperiment:

@@ -3,8 +3,9 @@ keeps state of its own between calls, no handler only re-labels the
 exception it caught, every private top-level name is used, only the
 command line prints, only ``ingest`` opens files or uses ``os``, every
 text-mode ``open`` names its encoding, only ``_lag_moments`` warns, the
-objective's sums make no BLAS products, and every exported name has a
-caller in the package or is a listed reference implementation."""
+objective's sums make no BLAS products, only ``harness`` uses ``ctypes``,
+and every exported name has a caller in the package or is a listed
+reference implementation."""
 
 import ast
 import re
@@ -287,6 +288,29 @@ def test_whittle_sums_without_blas():
     # count, and its threads oversubscribe the cores of a worker pool
     modules = ("whittle.py", "spectral.py")
     assert {m: blas_products((PACKAGE / m).read_text()) for m in modules} == dict.fromkeys(modules, [])
+
+
+def ctypes_imports(source: str) -> list[str]:
+    """Imports of ``ctypes``, of its submodules or of names from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for a in node.names if a.name.partition(".")[0] == "ctypes"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "ctypes":
+            found.append(node.lineno)
+    return [f"ctypes (line {line})" for line in found]
+
+
+def test_detects_ctypes_imports():
+    source = ("import ctypes\nimport numpy as np, ctypes.util as cu\n"
+              "from ctypes import CDLL\nimport ctypesgen\nfrom . import ctypes_helpers\n")
+    assert ctypes_imports(source) == ["ctypes (line 1)", "ctypes (line 2)", "ctypes (line 3)"]
+
+
+def test_only_harness_uses_ctypes():
+    # native libraries are found and called in one place, single_blas_thread
+    users = [p.name for p in sorted(PACKAGE.glob("*.py")) if ctypes_imports(p.read_text())]
+    assert users == ["harness.py"]
 
 
 def warning_sites(source: str) -> list[str]:

@@ -364,6 +364,15 @@ class TestObjective:
             rv.objective(small_sim_series, 0.3, 1.0, impossible)
         assert excinfo.value.error_estimate >= 0.0
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf])
+    def test_non_finite_nu_rejected_without_deepening(self, small_sim_series, nu):
+        # a non-finite objective used to walk the node set to its deepest level for good
+        workspace = rv.WhittleObjective(small_sim_series, CFG)
+        depth = len(workspace._weights)
+        with pytest.raises(ValueError, match=f"nu must be positive and finite, got {nu}$"):
+            workspace.value(0.1, nu)
+        assert len(workspace._weights) == depth
+
     def test_explodes_for_large_nu(self, small_sim_series):
         at_huge = rv.objective(small_sim_series, 0.3, 1e3, CFG)
         at_sane = rv.objective(small_sim_series, 0.3, 1.0, CFG)
@@ -557,6 +566,11 @@ class TestEstimate:
         with pytest.raises(ValueError, match=re.escape(f"start (0.1, {nu!r}): nu must be")):
             rv.estimate(small_sim_series, starts=[(0.3, 0.5), (0.1, nu)])
         assert screened == []
+
+    def test_nan_nu_start_is_a_failed_start(self, small_sim_series):
+        fit = rv.estimate(small_sim_series, starts=[(0.1, math.nan), (0.3, 0.5)])
+        assert fit.failures == ("start (0.1, nan): nu must be positive and finite, got nan",)
+        assert fit.start_used == (0.3, 0.5) and fit.converged
 
     def test_condition_warnings(self, small_sim_series, recwarn):
         # conditions are data for the caller to report; the fit never warns
