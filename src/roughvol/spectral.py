@@ -4,7 +4,8 @@ The model spectral density combines the density ``f_h`` of day-averaged
 fractional-noise increments (an alias sum truncated with a Paxson-style
 tail correction) with a differenced measurement-noise floor ``ell``
 weighted by 2/m. The periodogram follows the t = 1..n index convention
-and is evaluated at arbitrary frequencies by Horner's rule in e^{i lambda}.
+and is evaluated at arbitrary frequencies by Horner's rule in e^{i lambda},
+or on progressions of step 2 pi k / N (uniform panels) by FFTs of length N.
 
 The production density :func:`f_h_dense` works on a :class:`DenseNodes`,
 a node set of frequency arrays holding everything the density needs that
@@ -187,14 +188,39 @@ def f_h_dense(lam, hurst: float, paxson_k: int = SpectralConfig.paxson_k):
     return _density(nodes, hurst, nodes.alias_sum)
 
 
+def validate_nu(nu: float) -> None:
+    """The one check of the volatility scale: positive and finite (a nan passes ``nu <= 0``)."""
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu}")
+
+
 def g_spectrum(lam, hurst: float, nu: float, m: int,
                paxson_k: int = SpectralConfig.paxson_k):
     """Model spectral density nu^2 * f_h + (2/m) * ell; positive on (0, pi]."""
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
+    validate_nu(nu)
     if m < 1:
         raise ValueError("m must be >= 1")
     return nu**2 * f_h_dense(lam, hurst, paxson_k) + (2.0 / m) * ell(lam)
+
+
+def periodogram_progressions(y, lam, size: int, stride: int) -> np.ndarray:
+    """:func:`periodogram` at a (count, G) array ``lam`` whose columns step by
+    about 2 pi stride / size, for size >= len(y). Up to a unit factor, sum_t
+    y_t e^{i t lambda} at lam[0, g] + 2 pi stride j / size is entry stride * j
+    of the unnormalized inverse DFT of length ``size`` of y_{u+1} e^{i u lam[0, g]};
+    a second batched FFT, of u y_{u+1} e^{i u lam[0, g]}, carries each sum the
+    distance delta to lam[j, g], to first order in n delta. Only the needed
+    entries of each transform are kept."""
+    y, lam = np.asarray(y, dtype=float), np.asarray(lam, dtype=float)
+    step = stride * 2 * np.longdouble("3.14159265358979323846264338327950288") / size
+    delta = (lam - (lam[0] + np.arange(len(lam))[:, None] * step)).astype(float)  # in long double
+    if np.max(np.abs(delta), initial=0.0) * len(y) > 1e-6:
+        raise ValueError("lam does not lie on progressions of step 2 pi stride / size")
+    u = np.arange(len(y))
+    modulated = y * np.exp(1j * np.outer(lam[0], u))
+    sums, slopes = [scipy.fft.ifft(x, size, norm="forward")[:, :stride * len(lam):stride].T.copy()
+                    for x in (modulated, u * modulated)]
+    return np.abs(sums + 1j * delta * slopes) ** 2 / (TWO_PI * len(y))
 
 
 def periodogram(y, lam):

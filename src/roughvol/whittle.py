@@ -31,6 +31,8 @@ from .spectral import (
     f_h,
     f_h_dense,
     periodogram,
+    periodogram_progressions,
+    validate_nu,
 )
 
 _MAX_REFINEMENTS = 4
@@ -132,8 +134,7 @@ class WhittleFit:
 def _validate_point(hurst: float, nu: float) -> None:
     if not 0.0 < hurst <= 1.0:
         raise ValueError(f"hurst must be in (0, 1], got {hurst}")
-    if not 0.0 < nu < math.inf:  # a nan would deepen the node set for good
-        raise ValueError(f"nu must be positive and finite, got {nu}")
+    validate_nu(nu)  # a nan would deepen the node set for good
 
 
 def _validate_cut(psi: float, m: int) -> None:
@@ -290,7 +291,9 @@ class WhittleObjective:
     Precomputes once the sample autocovariance and its lag moments for the
     a2 correction, and one node set for quadrature levels 0..depth, level L
     splitting each panel 2**L ways: its :class:`DenseNodes`, periodogram,
-    noise floor and each level's slice and weights. A (hurst, nu) value then
+    noise floor and each level's slice and weights. The periodogram of the
+    panels 4 pi / n wide comes from FFTs (:func:`periodogram_progressions`),
+    that of the rest from one call of Horner's rule. A (hurst, nu) value then
     takes one density, kept for the last ``_DENSITY_CACHE`` hurst values as it
     does not depend on nu, and is that of the first level L >= 1 within the
     configured tolerances of level L - 1; if none is, the set deepens for
@@ -309,6 +312,11 @@ class WhittleObjective:
         psi = self.config.psi
         width_cap = min((math.pi - psi) / 16.0, 2.0 * TWO_PI / max(self.n, _MIN_INCREMENTS))
         self._breaks = _panel_breakpoints(psi, math.pi, 2.0, width_cap)
+        # Level-0 node range of the panels 4 pi / n wide (the ungraded ones but the last), or
+        # None: at level L, the nodes at one Gauss offset there step by 4 pi / (n 2**L).
+        first = 16 * int(np.count_nonzero(2.0 * self._breaks < width_cap))
+        on_grid = 16.0 * width_cap < math.pi - psi
+        self._fourier = (first, 16 * (len(self._breaks) - 2)) if on_grid else None
         self._a2_moments = _autocovariance_moments(self.gamma_hat, psi, self.config.taylor_j)
         self._densities: dict[float, np.ndarray] = {}  # oldest first
         self._build(1)
@@ -317,10 +325,16 @@ class WhittleObjective:
         levels = [_gauss_panels(self._breaks, 2**level, _GL16_NODES, _GL16_WEIGHTS)
                   for level in range(depth + 1)]
         nodes = np.concatenate([level_nodes for level_nodes, _ in levels])
-        self._nodes = DenseNodes(nodes, self.config.paxson_k)
-        self._i_vals = periodogram(self.y, nodes)
-        self._noise = (2.0 / self.m) * ell(nodes)
         ends = np.cumsum([0] + [len(weights) for _, weights in levels]).tolist()
+        self._i_vals, by_horner = np.empty_like(nodes), np.ones(len(nodes), dtype=bool)
+        for level, start in enumerate(ends[:-1] if self._fourier else []):
+            block = slice(start + self._fourier[0] * 2**level, start + self._fourier[1] * 2**level)
+            self._i_vals[block] = periodogram_progressions(
+                self.y, nodes[block].reshape(-1, 16), self.n * 2**level, 2).ravel()
+            by_horner[block] = False
+        self._i_vals[by_horner] = periodogram(self.y, nodes[by_horner])
+        self._nodes = DenseNodes(nodes, self.config.paxson_k)
+        self._noise = (2.0 / self.m) * ell(nodes)
         self._weights = [(slice(a, b), w) for a, b, (_, w) in zip(ends, ends[1:], levels)]
         self._densities.clear()
 
@@ -346,7 +360,7 @@ class WhittleObjective:
             integrals = [float(np.einsum("i,i->", weights, integrand[part])) / TWO_PI
                          for part, weights in self._weights]
             for previous, current in zip(integrals, integrals[1:]):
-                error = abs(current - previous)
+                error = max(abs(current - previous), math.ulp(current))  # ties are roundoff
                 total = current + corr
                 tol = max(self.config.quad_abs_tol, self.config.quad_rel_tol * abs(total))
                 if error <= tol:

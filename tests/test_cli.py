@@ -171,6 +171,14 @@ class TestSpectrumCommand:
         assert last[2] == pytest.approx(2.0 / math.pi, abs=1e-12)
         assert last[3] == pytest.approx(last[1] + (2.0 / 80) * last[2], abs=1e-8)
 
+    @pytest.mark.parametrize("nu", ["nan", "inf"])
+    def test_non_finite_nu_exits_one(self, nu, tmp_path, capsys):
+        out = tmp_path / "spectrum.csv"
+        assert run(["spectrum", "--h", 0.3, "--nu", nu, "--m", 80, "--points", 3,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: nu must be positive and finite, got {nu}\n"
+        assert not out.exists()
+
 
 class TestHelpListsDefaults:
     @pytest.mark.parametrize("sub", ["simulate", "rv", "estimate", "scaling",

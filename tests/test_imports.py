@@ -4,8 +4,8 @@ exception it caught, every private top-level name is used, only the
 command line prints, only ``ingest`` opens files or uses ``os``, every
 text-mode ``open`` names its encoding, only ``_lag_moments`` warns, the
 objective's sums make no BLAS products, only ``harness`` uses ``ctypes``,
-and every exported name has a caller in the package or is a listed
-reference implementation."""
+only ``fracsim`` imports ``scipy.signal``, and every exported name has a
+caller in the package or is a listed reference implementation."""
 
 import ast
 import re
@@ -311,6 +311,38 @@ def test_only_harness_uses_ctypes():
     # native libraries are found and called in one place, single_blas_thread
     users = [p.name for p in sorted(PACKAGE.glob("*.py")) if ctypes_imports(p.read_text())]
     assert users == ["harness.py"]
+
+
+def scipy_signal_imports(source: str) -> list[str]:
+    """Imports of ``scipy.signal``, of its submodules or of names from it,
+    including ``from scipy import signal``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name == "scipy.signal" or name.startswith("scipy.signal.") for name in names):
+            found.append(node.lineno)
+    return [f"scipy.signal (line {line})" for line in found]
+
+
+def test_detects_scipy_signal_imports():
+    source = ("import scipy.signal\nimport numpy as np, scipy.signal.windows as w\n"
+              "from scipy.signal import lfilter\nfrom scipy import fft, signal\n"
+              "import scipy.fft\nfrom scipy import special\nimport scipy_signal\n")
+    assert scipy_signal_imports(source) == [
+        "scipy.signal (line 1)", "scipy.signal (line 2)", "scipy.signal (line 3)",
+        "scipy.signal (line 4)"]
+
+
+def test_only_fracsim_imports_scipy_signal():
+    # its import costs about half a second; the objective's path (spectral,
+    # whittle) evaluates the periodogram by FFT and Horner's rule, without it
+    users = [p.name for p in sorted(PACKAGE.glob("*.py")) if scipy_signal_imports(p.read_text())]
+    assert users == ["fracsim.py"]
 
 
 def warning_sites(source: str) -> list[str]:

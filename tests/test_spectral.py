@@ -222,6 +222,12 @@ class TestGSpectrum:
         with pytest.raises(ValueError, match="m must be >= 1"):
             rv.g_spectrum(1.0, 0.3, 1.0, 0)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf])
+    def test_rejects_non_finite_nu(self, nu):
+        # the check the objective makes: a nan passes nu <= 0 and spreads through g
+        with pytest.raises(ValueError, match=f"nu must be positive and finite, got {nu}$"):
+            rv.g_spectrum(np.array([0.5, 1.0]), 0.3, nu, 80)
+
     def test_noise_only(self):
         lam = 1.3
         assert rv.g_spectrum(lam, 0.3, 1e-30, 50) == pytest.approx((2.0 / 50) * rv.ell(lam), rel=1e-6)

@@ -14,6 +14,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import approx_fprime, minimize
 
@@ -364,6 +366,15 @@ class TestObjective:
             rv.objective(small_sim_series, 0.3, 1.0, impossible)
         assert excinfo.value.error_estimate >= 0.0
 
+    def test_levels_that_agree_to_the_bit_miss_a_tolerance_below_roundoff(self, small_sim_series):
+        # two levels that tie by chance do not show an error below an ulp
+        impossible = rv.SpectralConfig(quad_rel_tol=1e-300, quad_abs_tol=1e-300)
+        workspace = rv.WhittleObjective(small_sim_series, impossible)
+        workspace._weights = [workspace._weights[1]] * (whittle._MAX_REFINEMENTS + 1)
+        with pytest.raises(QuadratureError) as excinfo:
+            workspace.value(0.3, 1.0)
+        assert excinfo.value.error_estimate > 0.0
+
     @pytest.mark.parametrize("nu", [math.nan, math.inf])
     def test_non_finite_nu_rejected_without_deepening(self, small_sim_series, nu):
         # a non-finite objective used to walk the node set to its deepest level for good
@@ -499,6 +510,114 @@ class TestDensityCache:
         assert len(starts) == 44
         # one density on both quadrature levels for each of the 11 hurst values
         assert len(calls) == 11 and len(set(calls)) == 11
+
+
+def random_walk_series(n, seed):
+    """Increments of a random walk plus white noise: a periodogram with a
+    steep low-frequency end and near-zeros scattered over (0, pi]."""
+    rng = np.random.default_rng(seed)
+    y = np.diff(np.cumsum(rng.standard_normal(n + 1)) + rng.standard_normal(n + 1))
+    return LogRvIncrements(y, delta=1.0 / 250.0, m=80)
+
+
+def exact_periodogram(y, lam):
+    """|sum_t y_t e^{i t lam}|^2 / (2 pi n) with every phase exact: lam splits
+    into a float32 head, whose multiples t * head are exact doubles, and a
+    small tail, and math.fsum adds the terms exactly."""
+    t = np.arange(1, len(y) + 1, dtype=float)
+    out = []
+    for x in lam:
+        head = float(np.float32(x))
+        a, b = t * head, t * (x - head)
+        cos = np.cos(a) * np.cos(b) - np.sin(a) * np.sin(b)
+        sin = np.sin(a) * np.cos(b) + np.cos(a) * np.sin(b)
+        out.append((math.fsum(y * cos) ** 2 + math.fsum(y * sin) ** 2) / (TWO_PI * len(y)))
+    return np.array(out)
+
+
+def running_sum_levels(n, psi, depth):
+    """Each level's nodes and weights, laid out apart from the workspace:
+    panels from psi that grow 3-fold up to the width cap, then panels of
+    that width (a running sum), the last ending at pi."""
+    cap = min((math.pi - psi) / 16.0, 2.0 * TWO_PI / max(n, 8))
+    points, x = [psi], psi
+    while (x := x + min(2.0 * x, cap)) < math.pi * (1.0 - 1e-12):
+        points.append(x)
+    breaks = np.array(points + [math.pi])
+    return [whittle._gauss_panels(breaks, 2**level, whittle._GL16_NODES, whittle._GL16_WEIGHTS)
+            for level in range(depth + 1)]
+
+
+class TestWorkspacePeriodogram:
+    """The uniform panels' periodogram comes from FFTs, the rest from
+    Horner's rule: both agree with an exact sum and with each other."""
+
+    @pytest.mark.parametrize("n", [500, 2500, 20_000])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_matches_an_exact_sum_at_random_nodes(self, n, seed):
+        series = random_walk_series(n, seed)
+        workspace = rv.WhittleObjective(series)
+        pick = np.random.default_rng(seed).choice(len(workspace._i_vals), 100, replace=False)
+        exact = exact_periodogram(series.y, workspace._nodes.lam1[pick])
+        assert np.max(np.abs(workspace._i_vals[pick] - exact) / exact) < 1e-10
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_horner_at_every_node(self, seed):
+        series = random_walk_series(2500, seed)
+        workspace = rv.WhittleObjective(series)
+        horner = rv.periodogram(series.y, workspace._nodes.lam1)
+        assert np.max(np.abs(workspace._i_vals - horner) / horner) < 1e-9
+
+    @pytest.mark.parametrize("n, config", [(40, CFG), (500, rv.SpectralConfig(psi=3.0))],
+                             ids=["40-increments", "psi-3"])
+    @pytest.mark.filterwarnings("ignore::roughvol.whittle.AccuracyWarning")  # psi = 3
+    def test_panels_off_a_fourier_grid_use_horner(self, n, config):
+        # the width cap is (pi - psi) / 16, not 4 pi / n: every node is Horner's
+        series = random_walk_series(n, n)
+        workspace = rv.WhittleObjective(series, config)
+        assert np.array_equal(workspace._i_vals, rv.periodogram(series.y, workspace._nodes.lam1))
+
+    def test_deepened_node_set_matches_horner(self, small_sim_series):
+        # tolerances below roundoff, which no level meets, deepen the set to its last level
+        workspace = rv.WhittleObjective(
+            small_sim_series, rv.SpectralConfig(quad_rel_tol=1e-300, quad_abs_tol=1e-300))
+        with pytest.raises(QuadratureError):
+            workspace.value(0.3, 1.0)
+        assert len(workspace._weights) == whittle._MAX_REFINEMENTS + 1  # levels 0..4
+        horner = rv.periodogram(small_sim_series.y, workspace._nodes.lam1)
+        assert np.max(np.abs(workspace._i_vals - horner) / horner) < 1e-9
+
+    @pytest.mark.parametrize("n, psi", [(40, CFG.psi), (500, CFG.psi), (2499, CFG.psi),
+                                        (500, 3.0)])
+    @pytest.mark.filterwarnings("ignore::roughvol.whittle.AccuracyWarning")  # psi = 3
+    def test_levels_keep_their_node_layout(self, n, psi):
+        workspace = rv.WhittleObjective(random_walk_series(n, 0), rv.SpectralConfig(psi=psi))
+        workspace._build(whittle._MAX_REFINEMENTS)  # levels 0..4, as the deepest value() builds
+        nodes = workspace._nodes.lam1
+        old_levels = running_sum_levels(n, psi, whittle._MAX_REFINEMENTS)
+        for (part, weights), (old_nodes, _) in zip(workspace._weights, old_levels, strict=True):
+            assert len(weights) == len(old_nodes)
+            assert math.fsum(weights) == pytest.approx(math.pi - psi, rel=1e-14)
+            assert np.max(np.abs(nodes[part] - old_nodes)) < 1e-12
+
+    def test_progressions_reach_nodes_a_little_off_them(self):
+        # a node 1e-11 off its Fourier frequency moves the sum by ~n * 1e-11
+        # relative; the first-order step removes that, leaving roundoff
+        y = random_walk_series(2000, 0).y
+        rng = np.random.default_rng(0)
+        lam = 0.01 + rng.uniform(0.0, 0.001, 3) + 2 * TWO_PI / 4000 * np.arange(900)[:, None]
+        lam += rng.uniform(-1e-11, 1e-11, lam.shape)
+        horner = rv.periodogram(y, lam)
+        fft = rv.spectral.periodogram_progressions(y, lam, 4000, 2)
+        assert np.max(np.abs(fft - horner) / horner) < 1e-10
+
+    def test_rejects_nodes_off_their_progressions(self):
+        y = random_walk_series(64, 0).y
+        lam = 0.1 + 2 * TWO_PI / 128 * np.arange(10)[:, None] + np.zeros(3)
+        lam[5] += 1e-6
+        with pytest.raises(ValueError, match="progressions"):
+            rv.spectral.periodogram_progressions(y, lam, 128, 2)
 
 
 class TestObjectiveOracle:
