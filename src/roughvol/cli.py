@@ -302,6 +302,7 @@ def _cmd_estimate(args) -> int:
             ("m", fit.m),
             ("n_starts", fit.n_starts),
             ("failed_starts", len(fit.failures)),
+            ("evaluations", fit.evaluations),
             ("start_used_h", fit.start_used[0]),
             ("start_used_nu", fit.start_used[1]),
             ("converged", fit.converged),

@@ -11,8 +11,9 @@ The production density :func:`f_h_dense` works on a :class:`DenseNodes`,
 a node set of frequency arrays holding everything the density needs that
 does not depend on hurst; a caller that evaluates many hurst values on one
 grid (the objective's quadrature levels) builds it once, and a plain array
-of frequencies gets a node set built per call. :func:`f_h` sums the alias
-series directly and is the reference the tests hold it to.
+of frequencies gets a node set built per call; :func:`f_h_slope` adds the
+derivative in hurst from the same pass. :func:`f_h` sums the alias series
+directly and is the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.special import gammaln, zeta
+from scipy.special import digamma, gammaln, zeta
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,6 +59,11 @@ def c_h(hurst: float) -> float:
     if not 0.0 < hurst <= 1.0:
         raise ValueError(f"hurst must be in (0, 1], got {hurst}")
     return math.gamma(2.0 * hurst + 1.0) * math.sin(math.pi * hurst) / TWO_PI
+
+
+def c_h_log_slope(hurst: float) -> float:
+    """d log C_H / dH = 2 digamma(2H + 1) + pi cot(pi H), for hurst in (0, 1)."""
+    return 2.0 * digamma(2.0 * hurst + 1.0) + math.pi / math.tan(math.pi * hurst)
 
 
 def ell(lam):
@@ -119,36 +125,60 @@ class DenseNodes:
         self.lam4 = lam1**4
         self.u2 = (lam1 / TWO_PI) ** 2
 
-    def alias_sum(self, exponent: float) -> np.ndarray:
+    def alias_sum(self, exponent: float, slope: bool = False) -> np.ndarray:
         """The truncated alias sum at ``exponent`` = 3 + 2H plus its
-        trapezoid-style tail, as one power series in the stored u^2."""
-        k_cut, s2 = self.paxson_k, exponent - 1.0  # tail integrals: exponent -(2+2H)
-        powers, tail_powers = exponent + _TWO_I, s2 + _TWO_I
-        binom = np.exp(gammaln(powers) - gammaln(_TWO_I + 1.0) - gammaln(exponent))
-        tail_binom = np.exp(gammaln(tail_powers) - gammaln(_TWO_I + 1.0) - gammaln(s2))
-        zeta_partial = zeta(powers) - zeta(powers, k_cut + 1.0)  # sum_{k<=K} k^(-powers)
-        tail = (k_cut ** -tail_powers + (k_cut + 1.0) ** -tail_powers) / s2
-        coef = TWO_PI ** (-exponent) * (2.0 * binom * zeta_partial + tail_binom * tail)
-        acc = np.full_like(self.u2, coef[-1])
+        trapezoid-style tail, as one power series in the stored u^2; with
+        ``slope``, a second row of its derivative in the exponent."""
+        coef = _alias_coefficients(exponent, self.paxson_k, slope)  # (40,) or (40, 2, 1)
+        acc = np.empty(coef.shape[1:-1] + self.u2.shape)
+        acc[...] = coef[-1]
         for c in coef[-2::-1]:
             acc *= self.u2
             acc += c
         return acc
 
 
-def _density(nodes: DenseNodes, hurst: float, alias_sum):
-    """Validation and assembly shared by :func:`f_h` and :func:`f_h_dense`,
-    which differ only in how ``alias_sum(exponent)`` evaluates the truncated
-    sum and its tail."""
+def _alias_coefficients(exponent: float, k_cut: int, slope: bool) -> np.ndarray:
+    """The 40 coefficients of :meth:`DenseNodes.alias_sum`, or with ``slope``
+    each beside its derivative in the exponent, shape (40, 2, 1): the partial
+    zeta sums give -sum_{k<=K} log k k^(-s-2i), the binomials ``digamma``."""
+    s2 = exponent - 1.0  # tail integrals: exponent -(2+2H)
+    powers, tail_powers = exponent + _TWO_I, s2 + _TWO_I
+    binom = np.exp(gammaln(powers) - gammaln(_TWO_I + 1.0) - gammaln(exponent))
+    tail_binom = np.exp(gammaln(tail_powers) - gammaln(_TWO_I + 1.0) - gammaln(s2))
+    zeta_partial = zeta(powers) - zeta(powers, k_cut + 1.0)  # sum_{k<=K} k^(-powers)
+    at_k, at_k1 = k_cut ** -tail_powers, (k_cut + 1.0) ** -tail_powers
+    tail = (at_k + at_k1) / s2
+    scale = TWO_PI ** (-exponent)
+    coef = scale * (2.0 * binom * zeta_partial + tail_binom * tail)
+    if not slope:
+        return coef
+    log_k = np.log(np.arange(2.0, k_cut + 1.0))
+    zeta_slope = -np.einsum("ik,k->i", np.exp(np.multiply.outer(-powers, log_k)), log_k)
+    tail_slope = -(math.log(k_cut) * at_k + math.log(k_cut + 1.0) * at_k1 + tail) / s2
+    coef_slope = scale * (
+        2.0 * binom * ((digamma(powers) - digamma(exponent)) * zeta_partial + zeta_slope)
+        + tail_binom * ((digamma(tail_powers) - digamma(s2)) * tail + tail_slope))
+    return np.stack([coef, coef_slope - math.log(TWO_PI) * coef], axis=1)[:, :, None]
+
+
+def _density(nodes: DenseNodes, hurst: float, alias_sum, slope: bool = False):
+    """Validation and assembly shared by :func:`f_h`, :func:`f_h_dense` and
+    (``slope``, with the derivative in hurst) :func:`f_h_slope`, which differ
+    only in how ``alias_sum(exponent, slope)`` evaluates the alias series."""
     scale = c_h(hurst)  # also validates hurst
-    if hurst > 0.5 and nodes.at_origin:
-        raise ValueError(
-            "f_h diverges at lambda = 0 for hurst > 1/2; exclude the origin"
-        )
-    alias = alias_sum(3.0 + 2.0 * hurst)
+    if nodes.at_origin and (slope or hurst > 0.5):
+        raise ValueError("f_h diverges at lambda = 0 for hurst > 1/2 and its hurst slope "
+                         "is not taken there; exclude the origin")
+    rows = alias_sum(3.0 + 2.0 * hurst, slope)
+    alias = rows[0] if slope else rows
     # (2(1-cos))^2 * |lam|^(-3-2H) rewritten as ratio2 * |lam|^(1-2H) so the
     # origin is approached without overflow; 0**0 = 1 covers hurst = 1/2.
-    out = scale * nodes.ratio2 * (nodes.lam1 ** (1.0 - 2.0 * hurst) + nodes.lam4 * alias)
+    power = nodes.lam1 ** (1.0 - 2.0 * hurst)
+    out = scale * nodes.ratio2 * (power + nodes.lam4 * alias)
+    if slope:  # the exponent 3 + 2H moves twice as fast as hurst
+        slope_part = nodes.lam4 * rows[1] - np.log(nodes.lam1) * power
+        return out, out * c_h_log_slope(hurst) + 2.0 * scale * nodes.ratio2 * slope_part
     return float(out[0]) if nodes.shape == () else out.reshape(nodes.shape)
 
 
@@ -168,7 +198,7 @@ def f_h(lam, hurst: float, paxson_k: int = SpectralConfig.paxson_k):
     :func:`objective_oracle` and the tests hold :func:`f_h_dense` to.
     """
     nodes = DenseNodes(lam, paxson_k)
-    return _density(nodes, hurst, lambda s: _alias_direct(nodes.lam1, paxson_k, s))
+    return _density(nodes, hurst, lambda s, _: _alias_direct(nodes.lam1, paxson_k, s))
 
 
 def f_h_dense(lam, hurst: float, paxson_k: int = SpectralConfig.paxson_k):
@@ -186,6 +216,12 @@ def f_h_dense(lam, hurst: float, paxson_k: int = SpectralConfig.paxson_k):
             f"node set was built with paxson_k={nodes.paxson_k}, not {paxson_k}"
         )
     return _density(nodes, hurst, nodes.alias_sum)
+
+
+def f_h_slope(nodes: DenseNodes, hurst: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`f_h_dense` on a node set without the origin and its derivative in
+    hurst, flat arrays from one Horner pass over both rows of the alias series."""
+    return _density(nodes, hurst, nodes.alias_sum, slope=True)
 
 
 def validate_nu(nu: float) -> None:
@@ -229,7 +265,9 @@ def periodogram(y, lam):
     Evaluated by Horner's rule in z = e^{i lambda} (one pass over y per
     call, vectorized across frequencies), which is stable on |z| = 1, so
     any lambda is admissible, not just Fourier grid points. Nonnegative
-    and even in lambda.
+    and even in lambda. Its error is absolute, roundoff times the mean of
+    I (under 1e-12 of it at n = 20,000), so near a zero of I it is large
+    relative to I: about 3e-9 where I is 1e-7 of its mean.
     """
     y = np.asarray(y)
     if y.ndim != 1 or len(y) < 1:

@@ -27,18 +27,20 @@ from .spectral import (
     SpectralConfig,
     autocovariance_hat,
     c_h,
+    c_h_log_slope,
     ell,
     f_h,
     f_h_dense,
+    f_h_slope,
     periodogram,
     periodogram_progressions,
     validate_nu,
 )
 
 _MAX_REFINEMENTS = 4
-# Densities a workspace keeps, keyed by hurst: enough for the three hurst
-# values of one L-BFGS-B gradient stencil.
-_DENSITY_CACHE = 3
+# Densities a workspace keeps, keyed by hurst: screens walk the start grid
+# hurst by hurst, and a descent moves hurst at every point but on a bound.
+_DENSITY_CACHE = 1
 # Successful L-BFGS-B descents per fit, from the best-screened starts.
 _DESCENTS = 2
 # Minima this close (relative) are one optimum; the earliest descent in
@@ -116,7 +118,8 @@ class WhittleFit:
     or ended non-finite, including starts that did not produce the fit, and
     one per descent that stopped without converging; such a descent still
     competes for the fit. ``converged`` is the winning descent's, as
-    ``_converged`` decides it.
+    ``_converged`` decides it. ``evaluations`` counts the objective's
+    screens and descent points, a value with its gradient once.
     """
 
     h_hat: float
@@ -129,6 +132,7 @@ class WhittleFit:
     delta: float
     m: int
     failures: tuple[str, ...] = ()
+    evaluations: int = 0
 
 
 def _validate_point(hurst: float, nu: float) -> None:
@@ -185,6 +189,13 @@ def _autocovariance_moments(gamma_hat: np.ndarray, psi: float, taylor_j: int) ->
     return _lag_moments(np.arange(len(gamma_hat), dtype=float), weights, psi, taylor_j)
 
 
+def _bracket_parts(hurst: float, denom: float, psi: float, m: int, j: np.ndarray):
+    """The two parts of each coefficient bracket_j = first_j - second_j of
+    :func:`_weighted_a`, with denom = nu^2 C_H."""
+    first = psi ** (2.0 * hurst) / (2.0 * j + 2.0 * hurst)
+    return first, psi ** (1.0 + 4.0 * hurst) / (denom * m * math.pi * (1.0 + 2.0 * j + 4.0 * hurst))
+
+
 def _weighted_a(hurst: float, nu: float, psi: float, m: int, moments: np.ndarray) -> float:
     """sum_tau w_tau a_tau for the lag weights behind ``moments``.
 
@@ -193,14 +204,28 @@ def _weighted_a(hurst: float, nu: float, psi: float, m: int, moments: np.ndarray
     len(moments) - 1 cosine terms; only the coefficients ``bracket`` depend on
     (hurst, nu). :func:`_lag_moments` checks the truncation.
     """
-    taylor_j = len(moments) - 1
     denom = nu * nu * c_h(hurst)
-    j = np.arange(taylor_j + 1, dtype=float)
-    bracket = psi ** (2.0 * hurst) / (2.0 * j + 2.0 * hurst)
-    bracket -= psi ** (1.0 + 4.0 * hurst) / (
-        denom * m * math.pi * (1.0 + 2.0 * j + 4.0 * hurst)
-    )
-    return float(np.einsum("i,i->", bracket, moments)) / (TWO_PI * denom)
+    first, second = _bracket_parts(hurst, denom, psi, m, np.arange(len(moments), dtype=float))
+    return float(np.einsum("i,i->", first - second, moments)) / (TWO_PI * denom)
+
+
+def _corrections_gradient(hurst: float, nu: float, psi: float, m: int,
+                          moments: np.ndarray) -> np.ndarray:
+    """Gradient in (hurst, log nu) of :func:`correction_a1` plus
+    :func:`_weighted_a` / 2 pi, with the same lag moments: with D = nu^2 C_H,
+    each term is a power of psi over a power of D and a linear factor, so it
+    differentiates through its logarithm, d log D = (c_H'/c_H, 2)."""
+    denom, log_psi, log_denom_h = nu * nu * c_h(hurst), math.log(psi), c_h_log_slope(hurst)
+    last = psi ** (2.0 + 2.0 * hurst) / (denom * m * math.pi * (2.0 + 2.0 * hurst))
+    a1 = [psi * (log_denom_h - 2.0 * log_psi + 2.0)
+          + last * (2.0 * log_psi - log_denom_h - 1.0 / (1.0 + hurst)), 2.0 * (psi - last)]
+    j = np.arange(len(moments), dtype=float)
+    first, second = _bracket_parts(hurst, denom, psi, m, j)
+    s1, s2, s1_h, s2_h = np.einsum("kj,j->k", np.stack([
+        first, second, first * (2.0 * log_psi - 1.0 / (j + hurst)),
+        second * (4.0 * log_psi - log_denom_h - 4.0 / (1.0 + 2.0 * j + 4.0 * hurst))]), moments)
+    a2 = [s1_h - s2_h - log_denom_h * (s1 - s2), 4.0 * s2 - 2.0 * s1]
+    return (np.array(a1) + np.array(a2) / (TWO_PI * denom)) / TWO_PI
 
 
 def a_coefficient(
@@ -297,7 +322,9 @@ class WhittleObjective:
     takes one density, kept for the last ``_DENSITY_CACHE`` hurst values as it
     does not depend on nu, and is that of the first level L >= 1 within the
     configured tolerances of level L - 1; if none is, the set deepens for
-    good, up to level ``_MAX_REFINEMENTS``. Its long sums are ``einsum``
+    good, up to level ``_MAX_REFINEMENTS``. :meth:`value_and_gradient` adds,
+    at that level, the gradient in (hurst, log nu), with the density's hurst
+    slope (:func:`f_h_slope`) cached beside it. Its long sums are ``einsum``
     reductions, whose bits, unlike a threaded BLAS dot's, do not depend on
     the BLAS thread count.
     """
@@ -345,26 +372,46 @@ class WhittleObjective:
         return a1 + _weighted_a(hurst, nu, psi, self.m, self._a2_moments) / TWO_PI
 
     def value(self, hurst: float, nu: float) -> float:
+        return self._evaluate(hurst, nu, gradient=False)
+
+    def value_and_gradient(self, hurst: float, nu: float) -> tuple[float, np.ndarray]:
+        """:meth:`value` and its gradient in (hurst, log nu), from one pass:
+        the quadrature level that gives the value gives the gradient."""
+        return self._evaluate(hurst, nu, gradient=True)
+
+    def _evaluate(self, hurst: float, nu: float, gradient: bool):
         _validate_point(hurst, nu)
         corr = self.corrections(hurst, nu)
         while True:
-            f = self._densities.get(hurst)
-            if f is None:
-                f = f_h_dense(self._nodes, hurst, self.config.paxson_k)
+            f, f_slope = self._densities.get(hurst, (None, None))  # f_slope None until asked for
+            if f is None or (gradient and f_slope is None):
+                f, f_slope = (f_h_slope(self._nodes, hurst) if gradient
+                              else (f_h_dense(self._nodes, hurst, self.config.paxson_k), None))
+                self._densities.pop(hurst, None)
                 if len(self._densities) == _DENSITY_CACHE:
                     del self._densities[next(iter(self._densities))]
-                self._densities[hurst] = f
+                self._densities[hurst] = f, f_slope
             g = nu * nu * f
             g += self._noise
-            integrand = np.log(g) + self._i_vals / g
+            ratio = self._i_vals / g
+            integrand = np.log(g) + ratio
             integrals = [float(np.einsum("i,i->", weights, integrand[part])) / TWO_PI
                          for part, weights in self._weights]
-            for previous, current in zip(integrals, integrals[1:]):
+            for (part, weights), previous, current in zip(self._weights[1:], integrals,
+                                                          integrals[1:]):
                 error = max(abs(current - previous), math.ulp(current))  # ties are roundoff
                 total = current + corr
                 tol = max(self.config.quad_abs_tol, self.config.quad_rel_tol * abs(total))
-                if error <= tol:
+                if error > tol:
+                    continue
+                if not gradient:
                     return total
+                # d(log g + I/g) = (1 - I/g) dg / g, with dg = nu^2 (df/dH, 2 f) in (H, log nu)
+                weighted = weights * (1.0 - ratio[part]) / g[part]
+                slopes = [np.einsum("i,i->", weighted, f_slope[part]),
+                          2.0 * np.einsum("i,i->", weighted, f[part])]
+                return total, nu * nu * np.array(slopes) / TWO_PI + _corrections_gradient(
+                    hurst, nu, self.config.psi, self.m, self._a2_moments)
             if len(self._weights) > _MAX_REFINEMENTS:
                 raise QuadratureError(
                     f"objective quadrature did not converge after {_MAX_REFINEMENTS} "
@@ -495,8 +542,9 @@ def estimate(
     descent that stops without converging goes there too but stays a
     candidate; a line search that stops below roundoff has converged (see
     :func:`_converged`). Descents run in (hurst, log nu) with bounded
-    L-BFGS-B and its own three-point difference gradients, one-sided within
-    a step of a bound, so no evaluation leaves the box. The fit is the
+    L-BFGS-B on the objective's analytic gradient
+    (:meth:`WhittleObjective.value_and_gradient`), so no evaluation leaves
+    the box; screens take the value alone. The fit is the
     first descent in walk order whose minimum is within ``_TIE_RTOL``
     relative of the lowest, so when descents reach the same optimum the
     better-screened start supplies (h_hat, nu_hat) and ``start_used``,
@@ -517,13 +565,12 @@ def estimate(
     nu_lo, nu_hi = box.nu_bounds(y.delta)
 
     workspace = WhittleObjective(y, config)
-    screened_values = {}  # (hurst, log nu) of each screened start -> its value
+    evaluations = 0
 
     def fun(x):
-        x = (float(x[0]), float(x[1]))
-        if x in screened_values:  # a descent's first point is its screened start
-            return screened_values[x]
-        return workspace.value(x[0], math.exp(x[1]))
+        nonlocal evaluations
+        evaluations += 1
+        return workspace.value_and_gradient(float(x[0]), math.exp(float(x[1])))
 
     bounds = [(box.h_min, box.h_max), (math.log(nu_lo), math.log(nu_hi))]
     options = {"maxiter": 500, "ftol": 1e-12, "gtol": 1e-8}
@@ -535,15 +582,15 @@ def estimate(
             min(max(start[0], box.h_min), box.h_max),
             min(max(math.log(start[1]), bounds[1][0]), bounds[1][1]),
         )
+        evaluations += 1
         try:
-            value = fun(x0)
+            value = workspace.value(x0[0], math.exp(x0[1]))
         except START_ERRORS as exc:
             failures.append(f"start {start}: {exc}")
             continue
         if not math.isfinite(value):
             failures.append(f"start {start}: non-finite objective")
             continue
-        screened_values[x0] = value
         screened.append((value, *x0, start))
     screened.sort(key=lambda s: s[:3])
 
@@ -558,7 +605,7 @@ def estimate(
             res = minimize(
                 fun,
                 np.array([h0, log_nu0]),
-                jac="3-point",
+                jac=True,
                 method="L-BFGS-B",
                 bounds=bounds,
                 options=options,
@@ -599,4 +646,5 @@ def estimate(
         delta=y.delta,
         m=y.m,
         failures=tuple(failures),
+        evaluations=evaluations,
     )

@@ -102,6 +102,17 @@ class TestEstimateCommand:
         row = [fit.h_hat, fit.nu_hat, fit.eta_hat, fit.objective, fit.converged]
         assert out.read_text() == "".join(csv_lines(header, [row]))
 
+    def test_diagnostics_write_the_evaluation_count(self, rv300, tmp_path):
+        diag = tmp_path / "fit.diag"
+        starts = tmp_path / "starts.csv"
+        starts.write_text("h,nu\n0.1,0.5\n0.3,1.5\n")
+        assert run(["estimate", "--rv", rv300, "--m", 80, "--starts", starts,
+                    "--out", tmp_path / "fit.csv", "--diagnostics", diag]) == 0
+        y = rv.log_rv_increments(rv.read_rv_csv(rv300, m=80)[0])
+        fit = rv.estimate(y, starts=[(0.1, 0.5), (0.3, 1.5)])
+        assert fit.evaluations > 2
+        assert f"evaluations={fit.evaluations}" in diag.read_text().splitlines()
+
     def test_unknown_flag_exit_one(self, tmp_path, capsys):
         code = run(["estimate", "--rvv", tmp_path / "x.csv"])
         assert code == 1

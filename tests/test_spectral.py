@@ -189,6 +189,25 @@ class TestDenseNodes:
             rv.DenseNodes(0.5, 0)
 
 
+class TestFhSlope:
+    @pytest.mark.parametrize("paxson_k", [1, 2, 7, 500])
+    def test_matches_central_differences_of_the_direct_sum(self, paxson_k):
+        lam = np.concatenate([np.geomspace(1e-6, 1.0, 200), np.linspace(1.0, math.pi, 200)])
+        node_set = rv.DenseNodes(lam, paxson_k)
+        for hurst in NODE_SET_HURSTS:
+            f, slope = rv.spectral.f_h_slope(node_set, hurst)
+            assert np.array_equal(f, rv.f_h_dense(node_set, hurst, paxson_k))
+            step = 1e-6 * min(hurst, 1.0 - hurst)
+            central = (rv.f_h(lam, hurst + step, paxson_k)
+                       - rv.f_h(lam, hurst - step, paxson_k)) / (2.0 * step)
+            # the slope changes sign at one frequency, so it is held to |slope| + f
+            assert np.max(np.abs(slope - central) / (np.abs(central) + f)) < 1e-7
+
+    def test_rejects_the_origin(self):
+        with pytest.raises(ValueError, match="slope is not taken there"):
+            rv.spectral.f_h_slope(rv.DenseNodes(np.array([0.0, 0.5])), 0.3)
+
+
 class TestEll:
     def test_values(self):
         assert rv.ell(0.0) == 0.0

@@ -7,6 +7,7 @@ part below float resolution for small hurst) onto a smooth bounded
 integrand.
 """
 
+import contextlib
 import dataclasses
 import math
 import re
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import approx_fprime, minimize
+from scipy.optimize import minimize
 
 import roughvol as rv
 from roughvol import whittle
@@ -146,32 +147,38 @@ def exhaustive_estimate(y):
 
 
 def record_values(monkeypatch):
-    """Wraps ``WhittleObjective.value`` for the test; returns the list of
-    the (hurst, nu) it is called at, in call order."""
+    """Wraps ``WhittleObjective.value`` and ``value_and_gradient`` for the
+    test; returns the list of the (hurst, nu) they are called at, in call
+    order."""
     calls = []
-    value = rv.WhittleObjective.value
 
-    def counting_value(self, hurst, nu):
-        calls.append((hurst, nu))
-        return value(self, hurst, nu)
+    def counting(method):
+        def wrapper(self, hurst, nu):
+            calls.append((hurst, nu))
+            return method(self, hurst, nu)
+        return wrapper
 
-    monkeypatch.setattr(rv.WhittleObjective, "value", counting_value)
+    for name in ("value", "value_and_gradient"):
+        monkeypatch.setattr(rv.WhittleObjective, name, counting(getattr(rv.WhittleObjective, name)))
     return calls
 
 
 class CountingMinimize:
-    """Stands in for ``whittle.minimize``: records each descent's start and
-    result, raises on the calls listed in ``fail_calls`` and reports the
-    calls in ``stop_calls`` as not converged."""
+    """Stands in for ``whittle.minimize``: records each descent's start,
+    function, keywords and result, raises on the calls listed in
+    ``fail_calls`` and reports the calls in ``stop_calls`` as not
+    converged."""
 
     def __init__(self, fail_calls=(), stop_calls=()):
         self.x0s = []
+        self.calls = []
         self.results = []
         self.fail_calls = set(fail_calls)
         self.stop_calls = set(stop_calls)
 
     def __call__(self, fun, x0, **kwargs):
         self.x0s.append(tuple(float(v) for v in x0))
+        self.calls.append((fun, kwargs))
         if len(self.x0s) in self.fail_calls:
             raise FloatingPointError("injected descent failure")
         res = minimize(fun, x0, **kwargs)
@@ -210,8 +217,7 @@ class StoppedMinimize(CountingMinimize):
         res = super().__call__(fun, x0, **kwargs)
         if self.at_start:
             res.x = np.array(x0, dtype=float)
-            res.fun = fun(res.x)
-            res.jac = approx_fprime(res.x, fun)
+            res.fun, res.jac = fun(res.x)
         res.success, res.status, res.message = False, self.status, f"injected status {self.status}"
         return res
 
@@ -562,6 +568,20 @@ class TestWorkspacePeriodogram:
         exact = exact_periodogram(series.y, workspace._nodes.lam1[pick])
         assert np.max(np.abs(workspace._i_vals[pick] - exact) / exact) < 1e-10
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_zeros_of_a_long_series(self, seed):
+        # Horner's rule keeps an absolute error of roundoff times the mean of
+        # I, so where I is 1e-7 of its mean it reads about 1e-9 off, relative;
+        # the FFTs that give these nodes in the workspace stay within 1e-10
+        series = random_walk_series(20_000, seed)
+        workspace = rv.WhittleObjective(series)
+        near_zeros = np.argsort(workspace._i_vals)[:20]
+        lam = workspace._nodes.lam1[near_zeros]
+        exact = exact_periodogram(series.y, lam)
+        horner = rv.periodogram(series.y, lam)
+        assert np.max(np.abs(horner - exact)) < 1e-12 * np.mean(workspace._i_vals)
+        assert np.max(np.abs(workspace._i_vals[near_zeros] - exact) / exact) < 1e-10
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_horner_at_every_node(self, seed):
         series = random_walk_series(2500, seed)
@@ -618,6 +638,88 @@ class TestWorkspacePeriodogram:
         lam[5] += 1e-6
         with pytest.raises(ValueError, match="progressions"):
             rv.spectral.periodogram_progressions(y, lam, 128, 2)
+
+
+def check_gradient(workspace, hurst, nu):
+    """value_and_gradient at one point: its value is value()'s to the bit,
+    and its gradient in (hurst, log nu) is central differences of value()
+    to 1e-6 of the larger component."""
+    value, gradient = workspace.value_and_gradient(hurst, nu)
+    workspace._densities.clear()  # value() computes its own density
+    assert value == workspace.value(hurst, nu)
+    step_h, step_log_nu = 1e-6 * min(hurst, 1.0 - hurst), 1e-6
+    central = np.array([
+        workspace.value(hurst + step_h, nu) - workspace.value(hurst - step_h, nu),
+        workspace.value(hurst, nu * math.exp(step_log_nu))
+        - workspace.value(hurst, nu * math.exp(-step_log_nu)),
+    ]) / (2.0 * np.array([step_h, step_log_nu]))
+    assert np.shape(gradient) == (2,)
+    assert np.max(np.abs(gradient - central)) <= 1e-6 * np.max(np.abs(central)), (hurst, nu)
+
+
+# hurst within 1e-3 of the default box's ends, and between
+GRADIENT_HURSTS = (rv.ParamBox().h_min + 5e-4, 0.05, 0.3, 0.5, 0.7, rv.ParamBox().h_max - 5e-4)
+GRADIENT_NUS = (0.3, 1.0, 3.0)
+
+
+class TestGradient:
+    """The objective's analytic gradient in (hurst, log nu)."""
+
+    @pytest.mark.parametrize("m", [80, 400])
+    def test_matches_central_differences(self, small_sim_series, m):
+        series = LogRvIncrements(small_sim_series.y.copy(), delta=small_sim_series.delta, m=m)
+        workspace = rv.WhittleObjective(series)
+        for hurst in GRADIENT_HURSTS:
+            for nu in GRADIENT_NUS:
+                check_gradient(workspace, hurst, nu)
+
+    def test_matches_central_differences_on_a_deepened_node_set(self, small_sim_series):
+        workspace = rv.WhittleObjective(
+            small_sim_series, rv.SpectralConfig(quad_rel_tol=1e-15, quad_abs_tol=1e-300))
+        for hurst in GRADIENT_HURSTS:  # levels 0 and 1 differ by more than 1e-15 at some
+            for nu in GRADIENT_NUS:
+                with contextlib.suppress(QuadratureError):
+                    workspace.value(hurst, nu)
+        assert len(workspace._weights) > 2
+        # the levels agree to roundoff: pair level 0 with the deepest at the
+        # default tolerances, so every value and gradient is the deepest level's
+        workspace.config = CFG
+        workspace._weights = [workspace._weights[0], workspace._weights[-1]]
+        for hurst in GRADIENT_HURSTS:
+            for nu in GRADIENT_NUS:
+                check_gradient(workspace, hurst, nu)
+
+    def test_corrections_gradient_matches_central_differences(self, small_sim_series):
+        workspace = rv.WhittleObjective(small_sim_series)
+        for hurst in GRADIENT_HURSTS:
+            for nu in GRADIENT_NUS:
+                gradient = whittle._corrections_gradient(hurst, nu, CFG.psi, small_sim_series.m,
+                                                         workspace._a2_moments)
+                step_h, step_log_nu = 1e-6 * min(hurst, 1.0 - hurst), 1e-6
+                central = np.array([
+                    workspace.corrections(hurst + step_h, nu)
+                    - workspace.corrections(hurst - step_h, nu),
+                    workspace.corrections(hurst, nu * math.exp(step_log_nu))
+                    - workspace.corrections(hurst, nu * math.exp(-step_log_nu)),
+                ]) / (2.0 * np.array([step_h, step_log_nu]))
+                assert np.max(np.abs(gradient - central)) <= 1e-6 * np.max(np.abs(central))
+
+    def test_slope_is_computed_only_for_a_gradient(self, small_sim_series, monkeypatch):
+        slopes = []
+
+        def counting(nodes, hurst):
+            slopes.append(hurst)
+            return rv.spectral.f_h_slope(nodes, hurst)
+
+        monkeypatch.setattr(whittle, "f_h_slope", counting)
+        workspace = rv.WhittleObjective(small_sim_series)
+        screened_order(small_sim_series, rv.default_starts(rv.ParamBox(), small_sim_series.delta))
+        workspace.value(0.3, 1.0)
+        assert slopes == []
+        workspace.value_and_gradient(0.3, 1.0)
+        workspace.value_and_gradient(0.3, 2.0)  # the density and its slope are kept
+        workspace.value(0.3, 0.5)
+        assert slopes == [0.3]
 
 
 class TestObjectiveOracle:
@@ -893,16 +995,36 @@ class TestStartScreening:
             want, converged=False,
             failures=(f"start {starts[0]}: not converged: injected status 1",))
 
+    def test_every_descent_takes_the_analytic_gradient(self, small_sim_series, monkeypatch):
+        # no descent falls back on scipy's difference gradients
+        counting = CountingMinimize()
+        monkeypatch.setattr(whittle, "minimize", counting)
+        rv.estimate(small_sim_series)
+        assert len(counting.calls) == 2
+        for (fun, kwargs), x0 in zip(counting.calls, counting.x0s):
+            assert kwargs["jac"] is True
+            value, gradient = fun(np.array(x0))
+            assert isinstance(value, float)
+            assert isinstance(gradient, np.ndarray) and gradient.shape == (2,)
+
+    @pytest.mark.parametrize("fail_calls", [(), (1,)], ids=["clean", "failed_descent"])
+    def test_evaluations_count_screens_and_descent_points(self, small_sim_series, monkeypatch,
+                                                          fail_calls):
+        counting = CountingMinimize(fail_calls=fail_calls)
+        monkeypatch.setattr(whittle, "minimize", counting)
+        fit = rv.estimate(small_sim_series)
+        assert fit.evaluations == fit.n_starts + sum(res.nfev for res in counting.results)
+
     def test_descent_reuses_its_screened_value(self, small_sim_series, monkeypatch):
-        # a descent's first point is its screened start: only that one of
-        # its objective values is not computed again
+        # a descent's first point is its screened start, evaluated again for
+        # its gradient; every other objective evaluation is one screen or one
+        # descent point, value and gradient together
         calls = record_values(monkeypatch)
         counting = CountingMinimize()
         monkeypatch.setattr(whittle, "minimize", counting)
         fit = rv.estimate(small_sim_series)
-        # scipy's nfev counts the gradient stencils' values too
         descents = sum(res.nfev for res in counting.results)
-        assert len(calls) == fit.n_starts + descents - len(counting.results)
+        assert len(calls) == fit.n_starts + descents
 
     @pytest.mark.parametrize("seed", [2024, 1, 2])
     def test_matches_descents_from_every_start(self, seed):
