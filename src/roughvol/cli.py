@@ -144,9 +144,17 @@ def _add_rv_flags(parser) -> None:
                         help="day length in years" + _DEFAULT)
 
 
-def _read_rv(args, m: int, date_column: str = DATE_COLUMN, strict: bool = False):
-    return read_rv_csv(args.rv, m=m, delta=args.delta, column=args.column,
-                       date_column=date_column, strict=strict)
+def _drop_reasons(report) -> str:
+    return ", ".join(f"{k}={v}" for k, v in sorted(report.reasons.items()))
+
+
+def _read_rv(args, m: int):
+    """The series of ``args.rv``; a warning on stderr counts its dropped rows, if any."""
+    rv, report = read_rv_csv(args.rv, m=m, delta=args.delta, column=args.column)
+    if report.rows_dropped:
+        sys.stderr.write(f"warning: {args.rv}: dropped {report.rows_dropped} of "
+                         f"{report.rows_read} rows ({_drop_reasons(report)})\n")
+    return rv
 
 
 def build_parser() -> _Parser:
@@ -283,7 +291,7 @@ def _read_starts(path: str) -> list[tuple[float, float]]:
 def _cmd_estimate(args) -> int:
     box = _from_field_flags(ParamBox, args)
     config = _from_field_flags(SpectralConfig, args)
-    rv, _report = _read_rv(args, args.m)
+    rv = _read_rv(args, args.m)
     y = log_rv_increments(rv)
     starts = _read_starts(args.starts) if args.starts else None
     sys.stderr.writelines(f"warning: {message}\n"
@@ -316,7 +324,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    rv, _report = _read_rv(args, 1)  # fit_scaling reads no m
+    rv = _read_rv(args, 1)  # fit_scaling reads no m
     log_vol = 0.5 * np.log(rv.values)  # variance series in, volatility out
     fit = fit_scaling(log_vol, qs=args.qs, lags=args.lags)
     rows = [
@@ -430,10 +438,11 @@ def _cmd_zscore(args) -> int:
 
 
 def _cmd_ingest_check(args) -> int:
-    rv, report = _read_rv(args, args.m, args.date_column, args.strict)
+    rv, report = read_rv_csv(args.rv, m=args.m, delta=args.delta, column=args.column,
+                             date_column=args.date_column, strict=args.strict)
     if args.out:
         write_csv(args.out, [DATE_COLUMN, RV_COLUMN], zip(report.kept_dates, rv.values))
-    reasons = ", ".join(f"{k}={v}" for k, v in sorted(report.reasons.items())) or "none"
+    reasons = _drop_reasons(report) or "none"
     print(
         f"rows_read={report.rows_read} kept={report.rows_kept} "
         f"dropped={report.rows_dropped} ({reasons}) "

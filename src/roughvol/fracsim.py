@@ -42,6 +42,16 @@ class VolatilityOverflowError(RuntimeError):
     """|log variance| escaped its safety bound during simulation."""
 
 
+def intraday_counts(values) -> tuple[int, ...]:
+    """``values`` as ints: whole numbers from 1 up such as ``80.0`` or ``4e2``
+    pass, any other value raises ``ValueError`` naming it."""
+    values = tuple(values)
+    bad = [str(v) for v in values if not float(v).is_integer() or float(v) < 1]
+    if bad:
+        raise ValueError(f"intraday counts must be positive whole numbers, got {', '.join(bad)}")
+    return tuple(int(float(v)) for v in values)
+
+
 @dataclass(frozen=True, eq=False)
 class GridPath:
     """Uniformly sampled trajectory with step-size and origin metadata.
@@ -126,8 +136,7 @@ class FouSpec:
             raise ValueError("alpha must be nonnegative")
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        object.__setattr__(self, "m", intraday_counts((self.m,))[0])
         if self.n_days < 1:
             raise ValueError("n_days must be >= 1")
         if self.substeps < 1:

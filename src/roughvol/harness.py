@@ -5,8 +5,9 @@ Every path seed derives from a stable mix of the base seed, the cell
 parameters and the path index, so results are reproducible bit for bit,
 adding grid cells never perturbs existing ones, and no number depends on
 worker-pool scheduling or the BLAS thread count (the objective calls no BLAS).
-Pool workers, like the ``roughvol`` command, run OpenBLAS on one thread
-(:func:`single_blas_thread`); a library call leaves its caller's process alone.
+Pool workers, like the ``roughvol`` command, run numpy's and scipy's OpenBLAS
+on one thread (:func:`single_blas_thread`, which reaches each through an
+extension module linking it); a library call leaves its caller's process alone.
 
 Functions here return records, failure reasons included; only ``cli`` prints.
 """
@@ -19,8 +20,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+from scipy.linalg import cython_blas
 
-from .fracsim import FouSpec, SynthesisError, VolatilityOverflowError, simulate_fou_price
+from .fracsim import (FouSpec, SynthesisError, VolatilityOverflowError, intraday_counts,
+                      simulate_fou_price)
 from .ingest import DEFAULT_DELTA
 from .proxy import RvSeries, error_zscores, integrated_variance, log_rv_increments, realized_variance
 from .scaling import fit_scaling
@@ -49,16 +53,6 @@ ZSCORE_ETA = 0.5
 # smooth starts and a wide nu range.
 _EXPERIMENT_START_H = (0.1, 0.5, 0.9)
 _EXPERIMENT_START_NU = (0.05, 0.5, 2.0)
-
-
-def intraday_counts(values) -> tuple[int, ...]:
-    """``values`` as ints: whole numbers from 1 up such as ``80.0`` or ``4e2``
-    pass, any other value raises ``ValueError`` naming it."""
-    values = tuple(values)
-    bad = [str(v) for v in values if not float(v).is_integer() or float(v) < 1]
-    if bad:
-        raise ValueError(f"intraday counts must be positive whole numbers, got {', '.join(bad)}")
-    return tuple(int(float(v)) for v in values)
 
 
 @dataclass(frozen=True)
@@ -173,40 +167,28 @@ def _fit_one_path(config: McConfig, h0: float, eta0: float, m: int, path_index: 
     return (path_index, fit.h_hat, fit.eta_hat, None)
 
 
+# Extension modules linked against numpy's and against scipy's OpenBLAS.
+_BLAS_MODULES = (_umath_linalg, cython_blas)
 # Thread-count setters of the OpenBLAS in numpy's and scipy's wheels, then upstream's.
 _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                         "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-def _loaded_libraries() -> list[str]:
-    """Paths of the shared objects loaded in this process, walked with
-    ``dl_iterate_phdr``; empty where the C library has no such walk."""
-    class Info(ctypes.Structure):  # the leading fields of struct dl_phdr_info
-        _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
-    paths = []
-
-    @ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(Info), ctypes.c_size_t, ctypes.c_void_p)
-    def visit(info, size, data):
-        paths.append((info.contents.name or b"").decode(errors="surrogateescape"))
-        return 0  # go on to the next object
-
-    walk = getattr(ctypes.CDLL(None), "dl_iterate_phdr", None)
-    if walk is not None:
-        walk(visit, None)
-    return paths
-
-
 def single_blas_thread() -> None:
-    """Set every OpenBLAS loaded in this process to one thread, if any. After
-    each L-BFGS-B call scipy's copy keeps a helper thread spinning, which
-    oversubscribes the cores of a worker pool. No number depends on it."""
-    for path in _loaded_libraries():
-        if "openblas" in path:
-            library = ctypes.CDLL(path)  # the loaded copy, not a second one
-            for name in _BLAS_THREAD_SETTERS:
-                if hasattr(library, name):
-                    getattr(library, name)(1)
-                    break
+    """Set numpy's and scipy's OpenBLAS to one thread, each through an extension
+    module linking it: ``dlsym`` on a library handle searches the library's
+    dependencies too. Where a module resolves no setter (on Windows, a
+    ``.pyd`` exports none) nothing is set. After each L-BFGS-B call scipy's
+    copy keeps a helper thread spinning, which oversubscribes the cores of a
+    worker pool. No number depends on it."""
+    for module in _BLAS_MODULES:
+        library = ctypes.CDLL(module.__file__)  # the loaded copy, not a second one
+        for name in _BLAS_THREAD_SETTERS:
+            if hasattr(library, name):
+                setter = getattr(library, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None  # void (int)
+                setter(1)
+                break
 
 
 def _map(fn, tasks, workers: int, chunksize: int = 1) -> list:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracsim import GridPath
+from .fracsim import GridPath, intraday_counts
 
 
 class AlignmentError(ValueError):
@@ -35,8 +35,7 @@ class RvSeries:
             raise ValueError("need at least one daily value")
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        object.__setattr__(self, "m", intraday_counts((self.m,))[0])
         bad = ~(values > 0.0) | ~np.isfinite(values)
         if np.any(bad):
             days = np.flatnonzero(bad)[:5] + 1
@@ -67,8 +66,7 @@ class LogRvIncrements:
             raise ValueError("increments must be finite")
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        object.__setattr__(self, "m", intraday_counts((self.m,))[0])
 
     def __len__(self):
         return len(self.y)
@@ -91,8 +89,7 @@ def realized_variance(log_price: GridPath, m: int, delta: float) -> RvSeries:
     The grid must align: delta/(m*dt) is required to be an integer, so the
     intraday sampling times are grid points.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    (m,) = intraday_counts((m,))
     stride = _grid_stride(log_price.dt, delta / m, "realized_variance")
     per_day = m * stride
     n_days = (len(log_price.values) - 1) // per_day

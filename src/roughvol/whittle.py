@@ -38,9 +38,6 @@ from .spectral import (
 )
 
 _MAX_REFINEMENTS = 4
-# Densities a workspace keeps, keyed by hurst: screens walk the start grid
-# hurst by hurst, and a descent moves hurst at every point but on a bound.
-_DENSITY_CACHE = 1
 # Successful L-BFGS-B descents per fit, from the best-screened starts.
 _DESCENTS = 2
 # Minima this close (relative) are one optimum; the earliest descent in
@@ -136,8 +133,8 @@ class WhittleFit:
 
 
 def _validate_point(hurst: float, nu: float) -> None:
-    if not 0.0 < hurst <= 1.0:
-        raise ValueError(f"hurst must be in (0, 1], got {hurst}")
+    if not 0.0 < hurst < 1.0:  # c_h vanishes at 1
+        raise ValueError(f"hurst must be in (0, 1), got {hurst}")
     validate_nu(nu)  # a nan would deepen the node set for good
 
 
@@ -319,14 +316,14 @@ class WhittleObjective:
     noise floor and each level's slice and weights. The periodogram of the
     panels 4 pi / n wide comes from FFTs (:func:`periodogram_progressions`),
     that of the rest from one call of Horner's rule. A (hurst, nu) value then
-    takes one density, kept for the last ``_DENSITY_CACHE`` hurst values as it
-    does not depend on nu, and is that of the first level L >= 1 within the
-    configured tolerances of level L - 1; if none is, the set deepens for
-    good, up to level ``_MAX_REFINEMENTS``. :meth:`value_and_gradient` adds,
-    at that level, the gradient in (hurst, log nu), with the density's hurst
-    slope (:func:`f_h_slope`) cached beside it. Its long sums are ``einsum``
-    reductions, whose bits, unlike a threaded BLAS dot's, do not depend on
-    the BLAS thread count.
+    takes one density, kept for the last hurst as it does not depend on nu
+    (screens walk the start grid hurst by hurst), and is that of the first
+    level L >= 1 within the configured tolerances of level L - 1; if none is,
+    the set deepens for good, up to level ``_MAX_REFINEMENTS``.
+    :meth:`value_and_gradient` adds, at that level, the gradient in (hurst,
+    log nu), with the density's hurst slope (:func:`f_h_slope`) kept beside
+    it. Its long sums are ``einsum`` reductions, whose bits, unlike a
+    threaded BLAS dot's, do not depend on the BLAS thread count.
     """
 
     def __init__(self, y: LogRvIncrements, config: SpectralConfig | None = None):
@@ -345,7 +342,6 @@ class WhittleObjective:
         on_grid = 16.0 * width_cap < math.pi - psi
         self._fourier = (first, 16 * (len(self._breaks) - 2)) if on_grid else None
         self._a2_moments = _autocovariance_moments(self.gamma_hat, psi, self.config.taylor_j)
-        self._densities: dict[float, np.ndarray] = {}  # oldest first
         self._build(1)
 
     def _build(self, depth: int) -> None:
@@ -363,7 +359,7 @@ class WhittleObjective:
         self._nodes = DenseNodes(nodes, self.config.paxson_k)
         self._noise = (2.0 / self.m) * ell(nodes)
         self._weights = [(slice(a, b), w) for a, b, (_, w) in zip(ends, ends[1:], levels)]
-        self._densities.clear()
+        self._density = (None, None, None)  # hurst, f, f_slope (None until asked for)
 
     def corrections(self, hurst: float, nu: float) -> float:
         """Objective mass below the cut frequency: a1 + a2."""
@@ -383,14 +379,11 @@ class WhittleObjective:
         _validate_point(hurst, nu)
         corr = self.corrections(hurst, nu)
         while True:
-            f, f_slope = self._densities.get(hurst, (None, None))  # f_slope None until asked for
-            if f is None or (gradient and f_slope is None):
+            cached, f, f_slope = self._density
+            if cached != hurst or (gradient and f_slope is None):
                 f, f_slope = (f_h_slope(self._nodes, hurst) if gradient
                               else (f_h_dense(self._nodes, hurst, self.config.paxson_k), None))
-                self._densities.pop(hurst, None)
-                if len(self._densities) == _DENSITY_CACHE:
-                    del self._densities[next(iter(self._densities))]
-                self._densities[hurst] = f, f_slope
+                self._density = hurst, f, f_slope
             g = nu * nu * f
             g += self._noise
             ratio = self._i_vals / g

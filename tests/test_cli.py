@@ -383,6 +383,40 @@ def rv300(tmp_path):
     return path
 
 
+class TestDroppedRows:
+    """estimate and scaling warn of the rows a read drops, and fit the rest."""
+
+    COMMANDS = {
+        "estimate": ["estimate", "--m", 80, "--starts", "{dir}/starts.txt",
+                     "--out", "{dir}/out.csv"],
+        "scaling": ["scaling", "--lags", "1:5", "--out", "{dir}/out.csv",
+                    "--summary-out", "{dir}/summary.csv"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_warning_counts_the_dropped_rows(self, command, rv300, tmp_path, capsys):
+        lines = rv300.read_text().splitlines(keepends=True)
+        dirty = lines[:]
+        dirty[10], dirty[100], dirty[200] = "10,\n", "100,0\n", "200,-1e-4\n"
+        outcomes = []
+        for name, rows in (("clean", [r for i, r in enumerate(lines) if i not in (10, 100, 200)]),
+                           ("dirty", dirty)):
+            folder = tmp_path / name
+            folder.mkdir()
+            (folder / "rv.txt").write_text("".join(rows))
+            (folder / "starts.txt").write_text("h,nu\n0.1,0.5\n")
+            argv = [str(a).format(dir=folder) for a in self.COMMANDS[command]]
+            assert run(argv[:1] + ["--rv", folder / "rv.txt"] + argv[1:]) == 0
+            captured = capsys.readouterr()
+            outcomes.append((captured.out, captured.err,
+                             [p.read_bytes() for p in sorted(folder.glob("*.csv"))]))  # outputs
+        (clean_out, clean_err, clean_files), (dirty_out, dirty_err, dirty_files) = outcomes
+        assert (dirty_out, dirty_files) == (clean_out, clean_files)
+        assert dirty_err == (f"warning: {tmp_path / 'dirty' / 'rv.txt'}: dropped 3 of 300 rows "
+                             f"(missing=1, nonpositive=2)\n" + clean_err)
+        assert "dropped" not in clean_err
+
+
 class TestExitCodes:
     """A ValueError from anywhere in the package is bad input: exit 1."""
 

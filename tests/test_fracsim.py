@@ -193,6 +193,20 @@ class TestSimulateFouPrice:
         assert log_price.kind == "log_price"
         assert log_price.values[0] == pytest.approx(math.log(100.0))
 
+    def test_whole_float_count_gives_the_same_path(self):
+        spec = dict(hurst=0.2, eta=1.0, alpha=0.5, c=-3.2, delta=1 / 250, n_days=4, seed=3)
+        as_float = rv.FouSpec(m=8.0, **spec)
+        assert type(as_float.m) is int and as_float.m == 8
+        for whole, other in zip(rv.simulate_fou_price(rv.FouSpec(m=8, **spec)),
+                                rv.simulate_fou_price(as_float)):
+            assert (whole.dt, whole.values.tobytes()) == (other.dt, other.values.tobytes())
+
+    def test_fractional_count_is_refused(self):
+        # it used to pass validation and fail in the simulation with a TypeError
+        with pytest.raises(ValueError, match="positive whole numbers, got 8.5$"):
+            rv.FouSpec(hurst=0.2, eta=1.0, alpha=0.5, c=-3.2, delta=1 / 250, m=8.5,
+                       n_days=4, seed=3)
+
     def test_degenerate_dynamics_constant(self):
         # alpha = 0 and eta -> 0 freezes log variance at its start
         spec = rv.FouSpec(hurst=0.5, eta=1e-12, alpha=0.0, c=-3.2, delta=1 / 250,

@@ -170,14 +170,24 @@ BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_
 
 
 def blas_thread_counts(task=None) -> dict:
-    """The thread count of each OpenBLAS loaded in this process, by path."""
+    """The thread count of each OpenBLAS loaded in this process, by path,
+    found among the files mapped into the process."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
     counts = {}
-    for path in harness._loaded_libraries():
-        if "openblas" in path:
-            library = ctypes.CDLL(path)
-            getter = next(name for name in BLAS_THREAD_GETTERS if hasattr(library, name))
-            counts[path] = getattr(library, getter)()
+    for path in sorted(paths):
+        library = ctypes.CDLL(path)
+        getter = next(name for name in BLAS_THREAD_GETTERS if hasattr(library, name))
+        counts[path] = getattr(library, getter)()
     return counts
+
+
+def set_blas_threads(counts: dict) -> None:
+    """Set each OpenBLAS in ``counts``, by path, to its thread count there."""
+    for path, threads in counts.items():
+        library = ctypes.CDLL(path)
+        getter = next(name for name in BLAS_THREAD_GETTERS if hasattr(library, name))
+        getattr(library, getter.replace("_get_", "_set_"))(threads)
 
 
 class TestSingleBlasThread:
@@ -190,9 +200,27 @@ class TestSingleBlasThread:
 
     def test_does_nothing_without_openblas(self, monkeypatch):
         before = blas_thread_counts()
-        monkeypatch.setattr(harness, "_loaded_libraries", lambda: ["", "linux-vdso.so.1"])
+        monkeypatch.setattr(harness, "_BLAS_MODULES", (np.random._mt19937,))  # links no BLAS
         assert harness.single_blas_thread() is None
         monkeypatch.undo()
+        assert blas_thread_counts() == before
+
+    def test_opens_no_handle_of_the_whole_process(self, monkeypatch):
+        # Windows' ctypes cannot open CDLL(None): it raises TypeError
+        real_cdll = ctypes.CDLL
+
+        def windows_cdll(name, *args, **kwargs):
+            if name is None:
+                raise TypeError("argument of type 'NoneType' is not iterable")
+            return real_cdll(name, *args, **kwargs)
+
+        before = blas_thread_counts()
+        monkeypatch.setattr(harness.ctypes, "CDLL", windows_cdll)
+        try:
+            assert harness.single_blas_thread() is None
+            assert blas_thread_counts() == dict.fromkeys(before, 1)
+        finally:
+            set_blas_threads(before)
         assert blas_thread_counts() == before
 
 

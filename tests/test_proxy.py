@@ -153,6 +153,29 @@ class TestLogRvIncrements:
             rv.RvSeries(np.array([1e-4, 0.0, 2e-4]), delta=1.0 / 250.0, m=8)
 
 
+class TestIntradayCounts:
+    """An intraday count is a whole number from 1 up; 8.0 reads as 8."""
+
+    def test_whole_float_count_gives_the_same_bits(self):
+        path = brownian_log_price(0.2, 30, 8, 1.0 / 250.0, seed=5)
+        whole = rv.realized_variance(path, 8, 1.0 / 250.0)
+        as_float = rv.realized_variance(path, 8.0, 1.0 / 250.0)
+        assert as_float.values.tobytes() == whole.values.tobytes()
+        assert type(as_float.m) is int and as_float.m == 8
+        y = rv.LogRvIncrements(np.zeros(3), delta=1.0 / 250.0, m=8.0)
+        assert type(y.m) is int and y.m == 8
+
+    @pytest.mark.parametrize("make", [
+        lambda m: rv.realized_variance(brownian_log_price(0.2, 2, 8, 1.0, seed=5), m, 1.0),
+        lambda m: rv.RvSeries(np.ones(3), delta=1.0, m=m),
+        lambda m: rv.LogRvIncrements(np.zeros(3), delta=1.0, m=m),
+    ], ids=["realized_variance", "RvSeries", "LogRvIncrements"])
+    @pytest.mark.parametrize("m", [8.5, 0])
+    def test_other_counts_are_refused(self, make, m):
+        with pytest.raises(ValueError, match=f"positive whole numbers, got {m}$"):
+            make(m)
+
+
 class TestErrorZscores:
     def test_equal_inputs_zero(self):
         series = rv.RvSeries(np.array([1e-4, 2e-4]), delta=1.0 / 250.0, m=100)

@@ -501,7 +501,7 @@ class TestDensityCache:
             for hurst, nu in zip(hursts, nus):
                 fresh = rv.WhittleObjective(small_sim_series, config)
                 assert outcome(workspace, hurst, nu) == outcome(fresh, hurst, nu)
-                assert len(workspace._densities) <= whittle._DENSITY_CACHE
+                assert workspace._density[0] == hurst  # one density, the last point's
 
     def test_screening_computes_each_density_once(self, small_sim_series, monkeypatch):
         calls = []
@@ -645,7 +645,7 @@ def check_gradient(workspace, hurst, nu):
     and its gradient in (hurst, log nu) is central differences of value()
     to 1e-6 of the larger component."""
     value, gradient = workspace.value_and_gradient(hurst, nu)
-    workspace._densities.clear()  # value() computes its own density
+    workspace._density = (None, None, None)  # value() computes its own density
     assert value == workspace.value(hurst, nu)
     step_h, step_log_nu = 1e-6 * min(hurst, 1.0 - hurst), 1e-6
     central = np.array([
@@ -742,6 +742,31 @@ class TestObjectiveOracle:
         a = rv.objective_oracle(small_sim_series, 0.3, 1.0, CFG)
         b = rv.objective_oracle(flipped, 0.3, 1.0, CFG)
         assert a == pytest.approx(b, rel=1e-10)
+
+
+# Each function of (hurst, nu) that evaluates the objective or its corrections.
+AT_ONE_POINT = {
+    "objective": lambda y, h: rv.objective(y, h, 1.0),
+    "objective_oracle": lambda y, h: rv.objective_oracle(y, h, 1.0),
+    "WhittleObjective.value": lambda y, h: rv.WhittleObjective(y).value(h, 1.0),
+    "WhittleObjective.value_and_gradient":
+        lambda y, h: rv.WhittleObjective(y).value_and_gradient(h, 1.0),
+    "correction_a1": lambda y, h: rv.correction_a1(h, 1.0, CFG.psi, y.m),
+    "correction_a2": lambda y, h: rv.correction_a2(h, 1.0, CFG.psi, CFG.taylor_j, y.m,
+                                                   rv.autocovariance_hat(y.y)),
+    "a_coefficient": lambda y, h: rv.a_coefficient(h, 1.0, 3, CFG.psi, CFG.taylor_j, y.m),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_ONE_POINT))
+def test_hurst_one_is_refused(name, small_sim_series):
+    # c_h(1) is the roundoff of sin(pi): a density built on it is noise
+    evaluate = AT_ONE_POINT[name]
+    with pytest.raises(ValueError, match=r"hurst must be in \(0, 1\), got 1.0$"):
+        evaluate(small_sim_series, 1.0)
+    result = evaluate(small_sim_series, 0.99)  # a value, or a value and its gradient
+    parts = result if isinstance(result, tuple) else (result,)
+    assert all(np.all(np.isfinite(part)) for part in parts)
 
 
 class TestEstimate:
